@@ -2,7 +2,7 @@
 
 Subcommands: enumerate, poly, verify, basecase, strings, projection, stats.
 Exit codes: 0 = pass / output produced, 1 = verified failure (counterexample
-emitted), 2 = usage error.
+emitted), 2 = usage error.  Any other error is raised with its traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import sys
 from math import gcd
 
-from qtcat import cycles, paths, verify
+from qtcat import paths, verify
 from qtcat.bijections import BoundedPartition
 
 
@@ -149,44 +149,31 @@ def cmd_basecase(args):
     return _report_exit(report, args)
 
 
+def _path_line(p):
+    sp = paths.positions_to_steps(p)
+    return "  %s  area=%d, degr=%d" % (
+        ",".join(str(x) for x in sp.steps),
+        paths.area(p),
+        paths.degr_alpha(p),
+    )
+
+
 def cmd_strings(args):
     ell, m = _parse_ellm(args.ellm)
     if args.d is None or args.d < 0 or args.d >= (ell - 1) * m:
         raise UsageError("strings needs 0 <= --d < (ell-1)m")
     report = verify.verify_string_partition(ell, m, args.d)
-    lines = []
-    from qtcat.bijections import bounded_partitions
-
-    for lam in bounded_partitions(args.d, ell - 1):
-        st = cycles.string_of(lam, m)
-        lines.append("string %s:" % (list(lam.parts),))
-        for p in st.elements:
-            sp = paths.positions_to_steps(p)
-            lines.append(
-                "  %s  area=%d, degr=%d"
-                % (
-                    ",".join(str(x) for x in sp.steps),
-                    paths.area(p),
-                    paths.degr_alpha(p),
-                )
-            )
-    leftovers = []
-    for p in paths.enumerate_positions(ell, m):
-        if paths.degr_alpha(p) == args.d and not cycles.is_connected(p):
-            leftovers.append(p)
-    lines.append("disconnected (%d):" % len(leftovers))
-    for p in leftovers:
-        sp = paths.positions_to_steps(p)
-        lines.append(
-            "  %s  area=%d, degr=%d"
-            % (",".join(str(x) for x in sp.steps), paths.area(p), paths.degr_alpha(p))
-        )
     if args.format == "json":
         return _report_exit(report, args)
-    text = "\n".join(lines) + "\n" + "verdict: %s\n" % (
-        "pass" if report.verdict else "fail"
-    )
-    _emit(text, args.out)
+    lines = []
+    for st in report.detail["strings"]:
+        lines.append("string %s:" % (list(st.source.parts),))
+        lines.extend(_path_line(p) for p in st.elements)
+    leftovers = report.detail["disconnected"]
+    lines.append("disconnected (%d):" % len(leftovers))
+    lines.extend(_path_line(p) for p in leftovers)
+    lines.append("verdict: %s" % ("pass" if report.verdict else "fail"))
+    _emit("\n".join(lines) + "\n", args.out)
     return 0 if report.verdict else 1
 
 
@@ -288,18 +275,12 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on usage errors already; preserve that
-        raise e
-    try:
+        if args.jobs < 1:
+            raise UsageError("--jobs must be >= 1")
         return args.fn(args)
     except UsageError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

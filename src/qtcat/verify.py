@@ -37,6 +37,8 @@ class VerificationReport:
     rhs: QtPolynomial | None = None
     witness: object = None
     counts: dict = field(default_factory=dict)
+    # what the check built, for the command line to print; to_obj leaves it out
+    detail: dict = field(default_factory=dict)
 
     def to_obj(self):
         return {
@@ -51,96 +53,71 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # conjecture: both sides, slice by slice
+#
+# A term of degree d has total degree M - d on either side, so slice d of a
+# side is its slice_total_degree(M - d).
 
 
 def _slices_from_census(all_counts, max_counts, M):
-    """Per-degree (lhs, rhs) polynomials from (degr, area) count tables."""
-    lhs = {}
+    """Both sides, whole, from (degr, area) count tables: lhs sums
+    q^area t^(M-d-area) over all paths, rhs sums sym(area, M-d-area) over
+    the maximal ones."""
+    lhs = QtPolynomial({(a, M - d - a): c for (d, a), c in all_counts.items()})
     rhs = {}
-    for (d, a), c in all_counts.items():
-        lhs.setdefault(d, {})[(a, M - d - a)] = c
-    for d in list(lhs):
-        lhs[d] = QtPolynomial(lhs[d])
     for (d, a), c in max_counts.items():
-        term = sym(a, M - d - a)
-        acc = rhs.get(d, QtPolynomial())
-        for _ in range(c):
-            acc = acc + term
-        rhs[d] = acc
-    return lhs, rhs
+        for key, v in sym(a, M - d - a).terms():
+            rhs[key] = rhs.get(key, 0) + c * v
+    return lhs, QtPolynomial(rhs)
+
+
+def _mismatch(lhs, rhs, M):
+    """Witness for the smallest d whose slices differ: d and slice d of
+    lhs - rhs.  None when the sides agree."""
+    if lhs == rhs:
+        return None
+    diff = lhs - rhs
+    d = M - max(diff.total_degrees())
+    return {"d": d, "difference": diff.slice_total_degree(M - d).to_obj()}
+
+
+def _rational_census(n, s):
+    """(all_counts, max_counts, M) for the coprime slope n/s."""
+    if gcd(n, s) != 1:
+        raise ValueError("slope %d/%d is not coprime" % (n, s))
+    all_counts, max_counts = kernels.rational_census(n, s)
+    return all_counts, max_counts, max_area_rational(n, s)
 
 
 def catalan_slice(n, s, d):
     """Sum of q^area t^(M-d-area) over the degree-d paths of slope n/s."""
-    if gcd(n, s) != 1:
-        raise ValueError("slope %d/%d is not coprime" % (n, s))
     if d < 0:
         raise ValueError("d must be >= 0")
-    all_counts, _ = kernels.rational_census(n, s)
-    M = max_area_rational(n, s)
-    terms = {}
-    for (dd, a), c in all_counts.items():
-        if dd == d:
-            terms[(a, M - d - a)] = c
-    return QtPolynomial(terms)
+    all_counts, max_counts, M = _rational_census(n, s)
+    return _slices_from_census(all_counts, max_counts, M)[0].slice_total_degree(M - d)
 
 
 def conjecture_rhs_slice(n, s, d):
     """Sum of sym(area, M-d-area) over the maximal degree-d paths."""
-    if gcd(n, s) != 1:
-        raise ValueError("slope %d/%d is not coprime" % (n, s))
-    _, max_counts = kernels.rational_census(n, s)
-    M = max_area_rational(n, s)
-    acc = QtPolynomial()
-    for (dd, a), c in max_counts.items():
-        if dd == d:
-            term = sym(a, M - d - a)
-            for _ in range(c):
-                acc = acc + term
-    return acc
+    all_counts, max_counts, M = _rational_census(n, s)
+    return _slices_from_census(all_counts, max_counts, M)[1].slice_total_degree(M - d)
 
 
 def catalan_poly(n, s):
     """The full polynomial: sum of q^area t^dinv over all paths."""
-    if gcd(n, s) != 1:
-        raise ValueError("slope %d/%d is not coprime" % (n, s))
-    all_counts, _ = kernels.rational_census(n, s)
-    M = max_area_rational(n, s)
-    terms = {}
-    for (d, a), c in all_counts.items():
-        key = (a, M - d - a)
-        terms[key] = terms.get(key, 0) + c
-    return QtPolynomial(terms)
+    return _slices_from_census(*_rational_census(n, s))[0]
 
 
 def check_conjecture(n, s):
     """Compare both sides of the conjecture slice by slice over one sweep."""
-    if gcd(n, s) != 1:
-        raise ValueError("slope %d/%d is not coprime" % (n, s))
     t0 = time.perf_counter()
-    all_counts, max_counts = kernels.rational_census(n, s)
-    M = max_area_rational(n, s)
-    lhs_by_d, rhs_by_d = _slices_from_census(all_counts, max_counts, M)
-    witness = None
-    verdict = True
-    for d in sorted(set(lhs_by_d) | set(rhs_by_d)):
-        lhs = lhs_by_d.get(d, QtPolynomial())
-        rhs = rhs_by_d.get(d, QtPolynomial())
-        if lhs != rhs:
-            verdict = False
-            witness = {"d": d, "difference": (lhs - rhs).to_obj()}
-            break
-    total_lhs = QtPolynomial()
-    total_rhs = QtPolynomial()
-    for p in lhs_by_d.values():
-        total_lhs = total_lhs + p
-    for p in rhs_by_d.values():
-        total_rhs = total_rhs + p
+    all_counts, max_counts, M = _rational_census(n, s)
+    lhs, rhs = _slices_from_census(all_counts, max_counts, M)
+    witness = _mismatch(lhs, rhs, M)
     return VerificationReport(
         params={"n": n, "s": s},
-        verdict=verdict,
-        lhs=total_lhs,
-        rhs=total_rhs,
+        verdict=witness is None,
+        lhs=lhs,
+        rhs=rhs,
         witness=witness,
         counts={
             "paths": sum(all_counts.values()),
@@ -198,14 +175,9 @@ def computation2(m, dstar):
         paths += sum(all_counts.values())
         maximal += sum(max_counts.values())
         M = max_area(ell, m)
-        lhs_by_d, rhs_by_d = _slices_from_census(all_counts, max_counts, M)
-        for d in range(dstar + 1):
-            lhs = lhs_by_d.get(d, QtPolynomial())
-            rhs = rhs_by_d.get(d, QtPolynomial())
-            if lhs != rhs:
-                witness = {"ell": ell, "d": d, "difference": (lhs - rhs).to_obj()}
-                break
-        if witness is not None:
+        bad = _mismatch(*_slices_from_census(all_counts, max_counts, M), M)
+        if bad is not None:
+            witness = {"ell": ell, **bad}
             break
     return VerificationReport(
         params={"m": m, "dstar": dstar, "lstar": lstar(m, dstar)},
@@ -258,14 +230,14 @@ def verify_string_partition(ell, m, d):
         raise ValueError("need d < (ell-1)m")
     t0 = time.perf_counter()
     connected = set()
-    disconnected = set()
+    disconnected = []
     for p in enumerate_positions(ell, m):
         if degr_alpha(p) != d:
             continue
         if cycles.is_connected(p):
             connected.add(p.positions)
         else:
-            disconnected.add(p.positions)
+            disconnected.append(p)
     strings = []
     covered = set()
     witness = None
@@ -297,6 +269,7 @@ def verify_string_partition(ell, m, d):
             "disconnected": len(disconnected),
             "runtime": round(time.perf_counter() - t0, 3),
         },
+        detail={"strings": strings, "disconnected": disconnected},
     )
 
 

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from qtcat import verify
 from qtcat.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +107,8 @@ def test_strings_command(capsys):
     assert code == 0
     assert out.count("string ") == 5
     assert "disconnected (6):" in out
+    # the whole listing, disconnected paths in walk order
+    assert out == (DATA / "strings_4_3_5.txt").read_text()
 
 
 def test_strings_bad_degree(capsys):
@@ -186,3 +192,18 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+def test_jobs_below_one_exits_2(capsys):
+    code, _, err = run_cli(capsys, "--jobs", "0", "basecase", "--dstar", "3", "--m-max", "2")
+    assert code == 2
+    assert "--jobs" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(n, s):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(verify, "check_conjecture", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["verify", "--slope", "5/3"])

@@ -80,6 +80,45 @@ def test_check_conjecture():
         check_conjecture(6, 3)
 
 
+def test_check_conjecture_witness_is_smallest_bad_degree(monkeypatch):
+    # one extra path at d = 19 on the left and one extra maximal path at
+    # d = 7 on the right break the identity at both degrees
+    all_counts, max_counts = kernels.rational_census(13, 8)
+    all_bad = dict(all_counts)
+    all_bad[(19, 10)] = all_bad.get((19, 10), 0) + 1
+    max_bad = dict(max_counts)
+    max_bad[(7, 5)] += 1
+    monkeypatch.setattr(kernels, "rational_census", lambda n, s: (all_bad, max_bad))
+    r = check_conjecture(13, 8)
+    M = 42
+    assert not r.verdict
+    assert list(r.witness) == ["d", "difference"]
+    assert r.witness["d"] == 7
+    diff = r.lhs - r.rhs
+    assert QtPolynomial.from_obj(r.witness["difference"]) == diff.slice_total_degree(M - 7)
+    assert diff.slice_total_degree(M - 7) == -sym(5, M - 7 - 5)
+    assert diff.slice_total_degree(M - 19) == QtPolynomial({(10, M - 19 - 10): 1})
+
+
+def test_computation2_witness_is_smallest_bad_degree(monkeypatch):
+    census = kernels.ellm_census_bounded
+
+    def perturbed(ell, m, dstar):
+        all_counts, max_counts = census(ell, m, dstar)
+        if ell == 3:
+            all_counts[(4, 3)] = all_counts.get((4, 3), 0) + 1
+            max_counts[(2, 1)] = max_counts.get((2, 1), 0) + 1
+        return all_counts, max_counts
+
+    monkeypatch.setattr(kernels, "ellm_census_bounded", perturbed)
+    r = computation2(2, 6)
+    M = paths.max_area(3, 2)
+    assert not r.verdict
+    assert list(r.witness) == ["ell", "d", "difference"]
+    assert (r.witness["ell"], r.witness["d"]) == (3, 2)
+    assert QtPolynomial.from_obj(r.witness["difference"]) == -sym(1, M - 2 - 1)
+
+
 def test_report_json_shape():
     r = check_conjecture(5, 3)
     obj = r.to_obj()
