@@ -1,14 +1,5 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("qtcat._speedups", ["src/qtcat/_speedups.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    # The package falls back to the pure-Python kernels at import time.
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# optional: without a C compiler or Python.h the build skips the extension
+# and qtcat.kernels falls back to the pure-Python kernels at import time.
+setup(ext_modules=[Extension("qtcat._speedups", ["src/qtcat/_speedups.c"], optional=True)])

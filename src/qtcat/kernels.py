@@ -1,18 +1,66 @@
-"""Kernel selection: compiled extension when built, pure Python otherwise.
+"""Kernel selection: the C extension when it was built, pure Python otherwise.
 
-Both backends export the same three functions with identical semantics:
-rational_census, ellm_census_bounded, ellm_maximal_bounded.  The test suite
-cross-checks them against each other and against the straightforward
-generators in qtcat.paths.
+Both backends export the same three functions with identical results:
+rational_census, ellm_census_bounded, ellm_maximal_bounded.  The C module
+qtcat._speedups is built by setup.py whenever a C compiler and Python.h are
+present; otherwise qtcat._kernels_py runs.  This module checks every input
+before it dispatches, so both backends reject the same inputs with the same
+ValueError.  The test suite cross-checks the backends against each other and
+against the straightforward generators in qtcat.paths.
 """
+
+from math import gcd
 
 try:
     from qtcat import _speedups as _impl
-except ImportError:  # no compiled extension available
+except ImportError:  # no extension was built
     from qtcat import _kernels_py as _impl
 
 BACKEND = _impl.BACKEND
 
-rational_census = _impl.rational_census
-ellm_census_bounded = _impl.ellm_census_bounded
-ellm_maximal_bounded = _impl.ellm_maximal_bounded
+# The C kernels compute in int64.  For a slope n/s with n*s < LIMIT every
+# intermediate value and every (degr, area) table key stays below 2**62;
+# (ell, m)-paths are the paths of slope (m(ell+1)+1)/(ell+1).
+LIMIT = 2**31
+
+
+def check_slope(n, s):
+    """Raise ValueError unless n/s is a coprime slope the kernels can walk."""
+    if n < 1 or s < 1:
+        raise ValueError("slope parameters must be positive")
+    if gcd(n, s) != 1:
+        raise ValueError("slope %d/%d is not coprime" % (n, s))
+    if n * s >= LIMIT:
+        raise ValueError("slope %d/%d is too large: need n*s < 2**31" % (n, s))
+
+
+def check_ellm(ell, m, dstar):
+    """Raise ValueError unless the kernels can walk (ell, m) up to dstar."""
+    if ell < 1 or m < 1:
+        raise ValueError("ell and m must be positive")
+    if not 0 <= dstar < 2**63:
+        raise ValueError("dstar must be >= 0 and < 2**63")
+    if (m * (ell + 1) + 1) * (ell + 1) >= LIMIT:
+        raise ValueError(
+            "(ell, m) = (%d, %d) is too large: need (m(ell+1)+1)(ell+1) < 2**31" % (ell, m)
+        )
+
+
+def rational_census(n, s):
+    """(all_counts, max_counts): the paths of slope n/s counted by (degr,
+    area), all of them and the maximal ones."""
+    check_slope(n, s)
+    return _impl.rational_census(n, s)
+
+
+def ellm_census_bounded(ell, m, dstar):
+    """(all_counts, max_counts) over the (ell, m)-paths with degr <= dstar."""
+    check_ellm(ell, m, dstar)
+    return _impl.ellm_census_bounded(ell, m, dstar)
+
+
+def ellm_maximal_bounded(ell, m, dstar):
+    """List of (degr, positions) over the maximal (ell, m)-paths with
+    degr <= dstar, in walk order."""
+    check_ellm(ell, m, dstar)
+    return _impl.ellm_maximal_bounded(ell, m, dstar)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import gcd
 
 from qtcat import cycles, kernels
 from qtcat.bijections import (
@@ -82,8 +81,6 @@ def _mismatch(lhs, rhs, M):
 
 def _rational_census(n, s):
     """(all_counts, max_counts, M) for the coprime slope n/s."""
-    if gcd(n, s) != 1:
-        raise ValueError("slope %d/%d is not coprime" % (n, s))
     all_counts, max_counts = kernels.rational_census(n, s)
     return all_counts, max_counts, max_area_rational(n, s)
 

@@ -1,0 +1,58 @@
+"""Shared fixtures: both kernel backends, the C one built once per session.
+
+The C kernel is built from this tree's setup.py into a temporary directory
+and loaded from there, so the suite runs it without an install step.  Its
+cases are skipped only when no C compiler or no Python.h is found; a build
+that fails with both present is an error.
+"""
+
+import importlib.util
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+from qtcat import _kernels_py
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _toolchain_missing():
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        return "no C compiler (%s)" % cc
+    if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
+        return "no Python.h"
+    return None
+
+
+@pytest.fixture(scope="session")
+def speedups(tmp_path_factory):
+    """qtcat._speedups, compiled from src/qtcat/_speedups.c."""
+    missing = _toolchain_missing()
+    if missing:
+        pytest.skip("C kernel not built: %s" % missing)
+    out = tmp_path_factory.mktemp("speedups")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    built = sorted((out / "lib" / "qtcat").glob("_speedups*"))
+    if proc.returncode != 0 or not built:
+        pytest.fail("C kernel build failed:\n%s%s" % (proc.stdout, proc.stderr))
+    spec = importlib.util.spec_from_file_location("qtcat._speedups", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def impl(request):
+    """The kernel backend a test is parametrized with: "python" or "c"."""
+    if request.param == "python":
+        return _kernels_py
+    return request.getfixturevalue("speedups")

@@ -207,3 +207,20 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(verify, "check_conjecture", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["verify", "--slope", "5/3"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--slope", "1000000000000000000000001/2"],
+        ["poly", "--slope", "1000000000000000000000001/2", "--d", "3"],
+        ["basecase", "--dstar", "1000000000000000000000000", "--m-max", "2"],
+        ["basecase", "--dstar", "3", "--m-max", "1000000000000000000000000"],
+    ],
+    ids=["verify", "poly", "basecase-dstar", "basecase-m-max"],
+)
+def test_input_beyond_kernel_limits_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and ("too large" in err or "2**63" in err)

@@ -246,6 +246,28 @@ def test_pruning_increment_is_monotone():
                 assert degs == sorted(degs), (a, m)
 
 
+@st.composite
+def prefix_and_next_position(draw):
+    """m, positions a_0..a_{i-1} (i >= 2) and a next position v."""
+    m = draw(st.integers(1, 8))
+    a = [0]
+    for _ in range(draw(st.integers(1, 10))):
+        a.append(draw(st.integers(0, a[-1] + m)))
+    return m, a, draw(st.integers(0, a[-1] + m))
+
+
+@given(prefix_and_next_position())
+def test_pruning_step_increment_is_never_negative(case):
+    # The kernels and enumerate_bounded cut a prefix once its running degree
+    # exceeds dstar.  That is sound only because appending a_i = v never
+    # lowers the degree: the increment -max(0, v-m) + sum_{k<i} alpha(a_k, v)
+    # is never negative.
+    m, a, v = case
+    inc = -max(0, v - m) + sum(paths.alpha(a[k], v, m) for k in range(1, len(a)))
+    assert inc >= 0
+    assert inc == degr_alpha(PositionPath(m, a + [v])) - degr_alpha(PositionPath(m, a))
+
+
 # ---------------------------------------------------------------------------
 # degree bounds under prepending a step
 
