@@ -7,8 +7,9 @@
  *
  * Inputs are limited to slopes n/s with n * s < LIMIT ((ell, m)-paths are
  * the paths of slope (m(ell+1)+1)/(ell+1)).  Then every intermediate value,
- * including degr <= ell * n and each table key, stays below 2**62.
- * qtcat.kernels checks the same limit before it calls in here.
+ * including degr <= ell * n and each table key, stays below 2**62.  A walk
+ * is s - 1 (or ell) levels deep, and s (or ell + 1) is at most MAX_DEPTH.
+ * qtcat.kernels checks the same limits before it calls in here.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -16,6 +17,7 @@
 #include <stdint.h>
 
 #define LIMIT ((int64_t)1 << 31)
+#define MAX_DEPTH 512
 
 /* ------------------------------------------------------------------------
  * int64 -> int64 count table; a slot whose count is 0 is empty */
@@ -152,10 +154,11 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "LL:rational_census", kwlist, &n_, &s_))
         return NULL;
     int64_t n = n_, s = s_;
-    if (n < 1 || s < 1 || n >= LIMIT || s >= LIMIT || n * s >= LIMIT
+    if (n < 1 || s < 1 || n >= LIMIT || s > MAX_DEPTH || n * s >= LIMIT
             || gcd64(n, s) != 1) {
         PyErr_Format(PyExc_ValueError,
-                     "slope %lld/%lld: need coprime n, s >= 1 with n*s < 2**31", n_, s_);
+                     "slope %lld/%lld: need coprime n, s >= 1 with n*s < 2**31 "
+                     "and s <= %d", n_, s_, MAX_DEPTH);
         return NULL;
     }
     int64_t ell = s - 1, M = 0;
@@ -242,11 +245,11 @@ ellm_args(PyObject *args, PyObject *kwds, const char *fmt,
     long long e, mm, ds;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, fmt, kwlist, &e, &mm, &ds))
         return -1;
-    if (e < 1 || mm < 1 || ds < 0 || e >= LIMIT || mm >= LIMIT
+    if (e < 1 || mm < 1 || ds < 0 || e >= MAX_DEPTH || mm >= LIMIT
             || mm * (e + 1) + 1 >= LIMIT || (mm * (e + 1) + 1) * (e + 1) >= LIMIT) {
         PyErr_Format(PyExc_ValueError,
-                     "(ell, m, dstar) = (%lld, %lld, %lld): need ell, m >= 1, dstar >= 0 "
-                     "and (m(ell+1)+1)(ell+1) < 2**31", e, mm, ds);
+                     "(ell, m, dstar) = (%lld, %lld, %lld): need ell, m >= 1, dstar >= 0, "
+                     "ell < %d and (m(ell+1)+1)(ell+1) < 2**31", e, mm, ds, MAX_DEPTH);
         return -1;
     }
     *ell = e;

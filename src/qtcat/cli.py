@@ -2,7 +2,8 @@
 
 Subcommands: enumerate, poly, verify, basecase, strings, projection, stats.
 Exit codes: 0 = pass / output produced, 1 = verified failure (counterexample
-emitted), 2 = usage error.  Any other error is raised with its traceback.
+emitted), 2 = usage error, an input the kernels reject included.  Any other
+error is raised with its traceback.
 """
 
 from __future__ import annotations
@@ -33,14 +34,6 @@ def _parse_slope(text):
     if gcd(n, s) != 1:
         raise UsageError("slope %d/%d is not coprime" % (n, s))
     return n, s
-
-
-def _fits(check, *args):
-    """Run a kernels input check; its ValueError is a usage error."""
-    try:
-        check(*args)
-    except ValueError as e:
-        raise UsageError(str(e))
 
 
 def _parse_ellm(text):
@@ -120,7 +113,6 @@ def _poly_text(poly, fmt):
 
 def cmd_poly(args):
     n, s = _parse_slope(args.slope)
-    _fits(kernels.check_slope, n, s)
     if args.d is not None:
         if args.d < 0:
             raise UsageError("--d must be >= 0")
@@ -148,17 +140,12 @@ def _report_exit(report, args):
 
 def cmd_verify(args):
     n, s = _parse_slope(args.slope)
-    _fits(kernels.check_slope, n, s)
     return _report_exit(verify.check_conjecture(n, s), args)
 
 
 def cmd_basecase(args):
     if args.dstar < 0 or args.m_max < 1:
         raise UsageError("need --dstar >= 0 and --m-max >= 1")
-    # the largest walk for each m is at ell = lstar; largest m first, so that
-    # a huge --m-max fails at once
-    for m in reversed(range(1, args.m_max + 1)):
-        _fits(kernels.check_ellm, verify.lstar(m, args.dstar), m, args.dstar)
     report = verify.basecase(range(1, args.m_max + 1), args.dstar, jobs=args.jobs)
     return _report_exit(report, args)
 
@@ -294,7 +281,7 @@ def main(argv=None):
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
         return args.fn(args)
-    except UsageError as e:
+    except (UsageError, kernels.InputError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

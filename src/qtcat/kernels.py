@@ -5,8 +5,8 @@ rational_census, ellm_census_bounded, ellm_maximal_bounded.  The C module
 qtcat._speedups is built by setup.py whenever a C compiler and Python.h are
 present; otherwise qtcat._kernels_py runs.  This module checks every input
 before it dispatches, so both backends reject the same inputs with the same
-ValueError.  The test suite cross-checks the backends against each other and
-against the straightforward generators in qtcat.paths.
+InputError, a ValueError.  The test suite cross-checks the backends against
+each other and against the straightforward generators in qtcat.paths.
 """
 
 from math import gcd
@@ -20,29 +20,40 @@ BACKEND = _impl.BACKEND
 
 # The C kernels compute in int64.  For a slope n/s with n*s < LIMIT every
 # intermediate value and every (degr, area) table key stays below 2**62;
-# (ell, m)-paths are the paths of slope (m(ell+1)+1)/(ell+1).
+# (ell, m)-paths are the paths of slope (m(ell+1)+1)/(ell+1).  Each walk is
+# s - 1 (or ell) levels deep, and the pure-Python walk recurses once per
+# level, so s and ell + 1 are held to MAX_DEPTH, far above any walk that
+# ends in reasonable time and below Python's default recursion limit.
 LIMIT = 2**31
+MAX_DEPTH = 512
+
+
+class InputError(ValueError):
+    """An input the kernels reject: not a path universe, or past their limits."""
 
 
 def check_slope(n, s):
-    """Raise ValueError unless n/s is a coprime slope the kernels can walk."""
+    """Raise InputError unless n/s is a coprime slope the kernels can walk."""
     if n < 1 or s < 1:
-        raise ValueError("slope parameters must be positive")
+        raise InputError("slope parameters must be positive")
     if gcd(n, s) != 1:
-        raise ValueError("slope %d/%d is not coprime" % (n, s))
-    if n * s >= LIMIT:
-        raise ValueError("slope %d/%d is too large: need n*s < 2**31" % (n, s))
+        raise InputError("slope %d/%d is not coprime" % (n, s))
+    if n * s >= LIMIT or s > MAX_DEPTH:
+        raise InputError(
+            "slope %d/%d is too large: need n*s < 2**31 and s <= %d" % (n, s, MAX_DEPTH)
+        )
 
 
 def check_ellm(ell, m, dstar):
-    """Raise ValueError unless the kernels can walk (ell, m) up to dstar."""
+    """Raise InputError unless the kernels can walk (ell, m) up to dstar."""
     if ell < 1 or m < 1:
-        raise ValueError("ell and m must be positive")
+        raise InputError("ell and m must be positive")
     if not 0 <= dstar < 2**63:
-        raise ValueError("dstar must be >= 0 and < 2**63")
-    if (m * (ell + 1) + 1) * (ell + 1) >= LIMIT:
-        raise ValueError(
-            "(ell, m) = (%d, %d) is too large: need (m(ell+1)+1)(ell+1) < 2**31" % (ell, m)
+        raise InputError("dstar must be >= 0 and < 2**63")
+    if (m * (ell + 1) + 1) * (ell + 1) >= LIMIT or ell + 1 > MAX_DEPTH:
+        raise InputError(
+            "(ell, m) = (%d, %d) is too large: need (m(ell+1)+1)(ell+1) < 2**31 "
+            "and ell < %d" % (ell, m, MAX_DEPTH)
         )
 
 

@@ -190,6 +190,11 @@ def computation2(m, dstar):
 
 def basecase(m_values, dstar, jobs=1):
     """computations 1 and 2 across a range of m; overall report."""
+    # every walk fits the kernels before the first one runs: the largest for
+    # each m is at ell = lstar, and the largest m goes first, so a range far
+    # past the kernels' limits fails at once
+    for m in reversed(m_values):
+        kernels.check_ellm(lstar(m, dstar), m, dstar)
     m_values = list(m_values)
     if jobs > 1:
         import multiprocessing

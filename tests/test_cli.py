@@ -214,10 +214,11 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     [
         ["verify", "--slope", "1000000000000000000000001/2"],
         ["poly", "--slope", "1000000000000000000000001/2", "--d", "3"],
+        ["verify", "--slope", "1/2147483647"],
         ["basecase", "--dstar", "1000000000000000000000000", "--m-max", "2"],
         ["basecase", "--dstar", "3", "--m-max", "1000000000000000000000000"],
     ],
-    ids=["verify", "poly", "basecase-dstar", "basecase-m-max"],
+    ids=["verify", "poly", "verify-deep", "basecase-dstar", "basecase-m-max"],
 )
 def test_input_beyond_kernel_limits_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

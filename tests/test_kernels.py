@@ -131,26 +131,43 @@ BAD_INPUT = [
     ("rational_census", (2**31, 1)),
     ("rational_census", (46349, 46351)),
     ("rational_census", (10**24 + 1, 2)),
+    ("rational_census", (1, kernels.MAX_DEPTH + 1)),
+    ("rational_census", (1, 2**31 - 1)),
     ("ellm_census_bounded", (3, 2, -1)),
     ("ellm_census_bounded", (0, 2, 3)),
     ("ellm_census_bounded", (3, 0, 3)),
     ("ellm_census_bounded", (3, 2, 2**63)),
     ("ellm_census_bounded", (46340, 1, 0)),
     ("ellm_census_bounded", (1, 2**30, 0)),
+    ("ellm_census_bounded", (kernels.MAX_DEPTH, 1, 0)),
     ("ellm_maximal_bounded", (3, 2, -1)),
     ("ellm_maximal_bounded", (0, 1, 3)),
     ("ellm_maximal_bounded", (10**20, 1, 3)),
+    ("ellm_maximal_bounded", (kernels.MAX_DEPTH, 1, 0)),
 ]
 
 
 @BACKENDS
 def test_census_rejects_bad_input(impl, monkeypatch):
-    # qtcat.kernels checks every input before it dispatches, so each backend
-    # rejects the same inputs with the same ValueError
+    # each backend guards itself against the inputs that are no path universe
+    with pytest.raises(ValueError):
+        impl.rational_census(6, 3)
+    with pytest.raises(ValueError):
+        impl.ellm_census_bounded(3, 2, -1)
+    with pytest.raises(ValueError):
+        impl.ellm_maximal_bounded(3, 2, -1)
+    # and qtcat.kernels checks every input before it dispatches, so each
+    # backend rejects the same inputs with the same InputError
     monkeypatch.setattr(kernels, "_impl", impl)
     for name, args in BAD_INPUT:
-        with pytest.raises(ValueError):
+        with pytest.raises(kernels.InputError):
             getattr(kernels, name)(*args)
+
+
+@BACKENDS
+def test_census_accepts_the_deepest_slope(impl):
+    # s = MAX_DEPTH is inside the limits, on the recursive pure-Python walk too
+    assert impl.rational_census(1, kernels.MAX_DEPTH) == ({(0, 0): 1}, {(0, 0): 1})
 
 
 def test_c_kernel_rejects_out_of_range_input(speedups):
