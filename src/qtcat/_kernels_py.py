@@ -2,9 +2,11 @@
 
 These are the hot loops behind the verification drivers: they walk the whole
 path universe (or its degree-bounded part) once, maintaining the degree
-statistic incrementally from prefix sums, and aggregate counts keyed by
-(degr, area).  A compiled twin with identical signatures lives in
-qtcat._speedups; qtcat.kernels picks whichever is importable.
+statistic incrementally from prefix sums.  The four kernels are
+rational_census and ellm_census_bounded, which count paths by (degr, area),
+and ellm_maximal_bounded and ellm_paths_of_degree, which list them.
+A compiled twin with identical signatures lives in qtcat._speedups;
+qtcat.kernels picks whichever is importable.
 """
 
 from __future__ import annotations
@@ -111,17 +113,17 @@ def ellm_census_bounded(ell, m, dstar):
     return all_counts, max_counts
 
 
-def ellm_maximal_bounded(ell, m, dstar):
-    """List of (degr, positions) over maximal (ell, m)-paths with
-    degr <= dstar, pruned as in ellm_census_bounded."""
-    if dstar < 0:
-        raise ValueError("dstar must be >= 0")
+def _ellm_paths(ell, m, dmin, dstar, maximal):
+    """List of (degr, positions) over the (ell, m)-paths with
+    dmin <= degr <= dstar, in walk order, pruned as in ellm_census_bounded;
+    a_1 = 0 pinned when maximal."""
     out = []
     a = [0] * (ell + 1)
 
     def rec(i, d):
         if i == ell + 1:
-            out.append((d, tuple(a)))
+            if d >= dmin:
+                out.append((d, tuple(a)))
             return
         for v in range(a[i - 1] + m, -1, -1):
             dd = d - max(0, v - m)
@@ -131,8 +133,25 @@ def ellm_maximal_bounded(ell, m, dstar):
                 a[i] = v
                 rec(i + 1, dd)
 
-    # a_1 = 0 pinned: maximal paths only
-    a[1] = 0
-    if ell >= 1:
+    if maximal:
+        a[1] = 0
         rec(2, 0)
+    else:
+        rec(1, 0)
     return out
+
+
+def ellm_maximal_bounded(ell, m, dstar):
+    """List of (degr, positions) over maximal (ell, m)-paths with
+    degr <= dstar, pruned as in ellm_census_bounded."""
+    if dstar < 0:
+        raise ValueError("dstar must be >= 0")
+    return _ellm_paths(ell, m, 0, dstar, maximal=True)
+
+
+def ellm_paths_of_degree(ell, m, d):
+    """List of the positions of the (ell, m)-paths with degr == d, in walk
+    order; prefixes past degree d are pruned as in ellm_census_bounded."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
+    return [a for _, a in _ellm_paths(ell, m, d, d, maximal=False)]

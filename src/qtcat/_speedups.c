@@ -1,9 +1,10 @@
 /* Compiled enumeration kernels; same contract as qtcat._kernels_py.
  *
  * Each walk is an iterative depth-first loop over int64 arrays sized to the
- * instance.  Leaves are counted into a growable open-addressed table keyed
- * by degr * (M + 1) + area, whose size follows the number of distinct keys;
- * Python objects are made only when a function returns.
+ * instance.  The census kernels count leaves into a growable open-addressed
+ * table keyed by degr * (M + 1) + area, whose size follows the number of
+ * distinct keys, and make Python objects only when they return; the listing
+ * kernels append each path they keep to a Python list.
  *
  * Inputs are limited to slopes n/s with n * s < LIMIT ((ell, m)-paths are
  * the paths of slope (m(ell+1)+1)/(ell+1)).  Then every intermediate value,
@@ -234,14 +235,16 @@ fail:
 }
 
 /* ------------------------------------------------------------------------
- * the degree-bounded (ell, m) walk, shared by ellm_census_bounded and
- * ellm_maximal_bounded */
+ * the degree-bounded (ell, m) walk, shared by ellm_census_bounded,
+ * ellm_maximal_bounded and ellm_paths_of_degree */
+
+static char *bounded_kwlist[] = {"ell", "m", "dstar", NULL};
+static char *degree_kwlist[] = {"ell", "m", "d", NULL};
 
 static int
-ellm_args(PyObject *args, PyObject *kwds, const char *fmt,
+ellm_args(PyObject *args, PyObject *kwds, const char *fmt, char **kwlist,
           int64_t *ell, int64_t *m, int64_t *dstar)
 {
-    static char *kwlist[] = {"ell", "m", "dstar", NULL};
     long long e, mm, ds;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, fmt, kwlist, &e, &mm, &ds))
         return -1;
@@ -265,13 +268,18 @@ alpha(int64_t a, int64_t b, int64_t m)
     return d < m ? d : m;
 }
 
-/* Walks the (ell, m)-paths with degr <= dstar in the order of _kernels_py:
-   a_i runs down from a_{i-1} + m to 0, and a prefix whose running degree
-   exceeds dstar is cut (sound because no step lowers the degree).  With
-   out == NULL each leaf is counted into all (and max when a_1 = 0);
-   otherwise a_1 = 0 is pinned and (degr, positions) is appended to out. */
+/* what a walk does with each path it keeps */
+enum leaf { COUNT, LIST_PAIRS, LIST_POSITIONS };
+
+/* Walks the (ell, m)-paths with dmin <= degr <= dstar in the order of
+   _kernels_py: a_1 runs down from a1 (m for every path, 0 for the maximal
+   ones only), each later a_i from a_{i-1} + m, and a prefix whose running
+   degree exceeds dstar is cut (sound because no step lowers the degree).
+   COUNT counts each path into all (and max when a_1 = 0); LIST_PAIRS
+   appends (degr, positions) to out, LIST_POSITIONS the positions alone. */
 static int
-ellm_walk(int64_t ell, int64_t m, int64_t dstar, Table *all, Table *max, PyObject *out)
+ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dmin, int64_t dstar,
+          enum leaf leaf, Table *all, Table *max, PyObject *out)
 {
     /* per depth i: a = a_i, deg = degr of a_1..a_{i-1}, ar = their sum */
     int64_t *buf = PyMem_Calloc(3 * (size_t)(ell + 1), sizeof(int64_t));
@@ -283,7 +291,7 @@ ellm_walk(int64_t ell, int64_t m, int64_t dstar, Table *all, Table *max, PyObjec
     int64_t width = m * ell * (ell + 1) / 2 + 1;
     uint64_t ticks = 0;
     int64_t i = 1;
-    a[1] = out == NULL ? m + 1 : 1; /* pre-decremented: a_1 runs m..0, or is 0 */
+    a[1] = a1 + 1; /* pre-decremented */
     while (i >= 1) {
         if (interrupted(&ticks))
             goto fail;
@@ -304,24 +312,27 @@ ellm_walk(int64_t ell, int64_t m, int64_t dstar, Table *all, Table *max, PyObjec
             ar[i] = ar[i - 1] + v;
             continue;
         }
-        if (out == NULL) {
+        if (d < dmin)
+            continue;
+        if (leaf == COUNT) {
             int64_t key = d * width + ar[i] + v;
             if (table_add(all, key, 1) < 0 || (a[1] == 0 && table_add(max, key, 1) < 0))
                 goto fail;
             continue;
         }
-        PyObject *pos = PyTuple_New(ell + 1);
-        if (pos == NULL)
+        PyObject *item = PyTuple_New(ell + 1);
+        if (item == NULL)
             goto fail;
         for (int64_t k = 0; k <= ell; k++) {
             PyObject *ak = PyLong_FromLongLong(a[k]);
             if (ak == NULL) {
-                Py_DECREF(pos);
+                Py_DECREF(item);
                 goto fail;
             }
-            PyTuple_SET_ITEM(pos, k, ak);
+            PyTuple_SET_ITEM(item, k, ak);
         }
-        PyObject *item = Py_BuildValue("(LN)", (long long)d, pos);
+        if (leaf == LIST_PAIRS)
+            item = Py_BuildValue("(LN)", (long long)d, item);
         if (item == NULL || PyList_Append(out, item) < 0) {
             Py_XDECREF(item);
             goto fail;
@@ -340,11 +351,11 @@ static PyObject *
 ellm_census_bounded(PyObject *self, PyObject *args, PyObject *kwds)
 {
     int64_t ell, m, dstar;
-    if (ellm_args(args, kwds, "LLL:ellm_census_bounded", &ell, &m, &dstar) < 0)
+    if (ellm_args(args, kwds, "LLL:ellm_census_bounded", bounded_kwlist, &ell, &m, &dstar) < 0)
         return NULL;
     Table all = {0}, max = {0};
     if (table_init(&all, 64) < 0 || table_init(&max, 64) < 0
-            || ellm_walk(ell, m, dstar, &all, &max, NULL) < 0) {
+            || ellm_walk(ell, m, m, 0, dstar, COUNT, &all, &max, NULL) < 0) {
         table_free(&all);
         table_free(&max);
         return NULL;
@@ -352,16 +363,32 @@ ellm_census_bounded(PyObject *self, PyObject *args, PyObject *kwds)
     return census_result(&all, &max, m * ell * (ell + 1) / 2 + 1);
 }
 
+/* the list of the paths a walk keeps */
+static PyObject *
+ellm_list(int64_t ell, int64_t m, int64_t a1, int64_t dmin, int64_t dstar, enum leaf leaf)
+{
+    PyObject *out = PyList_New(0);
+    if (out != NULL && ellm_walk(ell, m, a1, dmin, dstar, leaf, NULL, NULL, out) < 0)
+        Py_CLEAR(out);
+    return out;
+}
+
 static PyObject *
 ellm_maximal_bounded(PyObject *self, PyObject *args, PyObject *kwds)
 {
     int64_t ell, m, dstar;
-    if (ellm_args(args, kwds, "LLL:ellm_maximal_bounded", &ell, &m, &dstar) < 0)
+    if (ellm_args(args, kwds, "LLL:ellm_maximal_bounded", bounded_kwlist, &ell, &m, &dstar) < 0)
         return NULL;
-    PyObject *out = PyList_New(0);
-    if (out != NULL && ellm_walk(ell, m, dstar, NULL, NULL, out) < 0)
-        Py_CLEAR(out);
-    return out;
+    return ellm_list(ell, m, 0, 0, dstar, LIST_PAIRS);
+}
+
+static PyObject *
+ellm_paths_of_degree(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    int64_t ell, m, d;
+    if (ellm_args(args, kwds, "LLL:ellm_paths_of_degree", degree_kwlist, &ell, &m, &d) < 0)
+        return NULL;
+    return ellm_list(ell, m, m, d, d, LIST_POSITIONS);
 }
 
 /* ------------------------------------------------------------------------ */
@@ -381,6 +408,11 @@ static PyMethodDef methods[] = {
      "ellm_maximal_bounded(ell, m, dstar)\n--\n\n"
      "List of (degr, positions) over maximal (ell, m)-paths with degr <= dstar; "
      "see qtcat._kernels_py."},
+    {"ellm_paths_of_degree", (PyCFunction)(void (*)(void))ellm_paths_of_degree,
+     METH_VARARGS | METH_KEYWORDS,
+     "ellm_paths_of_degree(ell, m, d)\n--\n\n"
+     "List of the positions of the (ell, m)-paths with degr == d; see "
+     "qtcat._kernels_py."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -73,11 +73,15 @@ def _rows_to_text(rows, header, fmt):
 def cmd_enumerate(args):
     header = ["steps", "area", "degr", "dinv", "maximal"]
     rows = []
+    # the generators recurse and allocate once per level, like the pure-Python
+    # kernels, so they are held to the kernels' limits
     if args.slope:
         n, s = _parse_slope(args.slope)
+        kernels.check_slope(n, s)
         stream = paths.enumerate_rational(n, s)
     elif args.ellm:
         ell, m = _parse_ellm(args.ellm)
+        kernels.check_ellm(ell, m, 0)
         stream = paths.enumerate_ellm(ell, m)
     else:
         raise UsageError("enumerate needs --slope or --ellm")

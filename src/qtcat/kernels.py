@@ -1,12 +1,13 @@
 """Kernel selection: the C extension when it was built, pure Python otherwise.
 
-Both backends export the same three functions with identical results:
-rational_census, ellm_census_bounded, ellm_maximal_bounded.  The C module
-qtcat._speedups is built by setup.py whenever a C compiler and Python.h are
-present; otherwise qtcat._kernels_py runs.  This module checks every input
-before it dispatches, so both backends reject the same inputs with the same
-InputError, a ValueError.  The test suite cross-checks the backends against
-each other and against the straightforward generators in qtcat.paths.
+Both backends export the same four functions with identical results:
+rational_census, ellm_census_bounded, ellm_maximal_bounded and
+ellm_paths_of_degree.  The C module qtcat._speedups is built by setup.py
+whenever a C compiler and Python.h are present; otherwise qtcat._kernels_py
+runs.  This module checks every input before it dispatches, so both
+backends reject the same inputs with the same InputError, a ValueError.  The
+test suite cross-checks the backends against each other and against the
+straightforward generators in qtcat.paths.
 """
 
 from math import gcd
@@ -75,3 +76,10 @@ def ellm_maximal_bounded(ell, m, dstar):
     degr <= dstar, in walk order."""
     check_ellm(ell, m, dstar)
     return _impl.ellm_maximal_bounded(ell, m, dstar)
+
+
+def ellm_paths_of_degree(ell, m, d):
+    """List of the positions of the (ell, m)-paths with degr == d, in walk
+    order; the walk cuts every prefix whose degree already exceeds d."""
+    check_ellm(ell, m, d)
+    return _impl.ellm_paths_of_degree(ell, m, d)

@@ -18,13 +18,7 @@ from qtcat.bijections import (
     g,
     height_from_path,
 )
-from qtcat.paths import (
-    PositionPath,
-    degr_alpha,
-    enumerate_positions,
-    max_area,
-    max_area_rational,
-)
+from qtcat.paths import PositionPath, max_area, max_area_rational
 from qtcat.qtpoly import QtPolynomial, sym
 
 
@@ -227,17 +221,20 @@ def basecase(m_values, dstar, jobs=1):
 
 
 def verify_string_partition(ell, m, d):
-    """The connected degree-d paths are the disjoint union of the strings."""
+    """The connected degree-d paths are the disjoint union of the strings.
+
+    Only the degree-d paths are walked: kernels.ellm_paths_of_degree cuts
+    every prefix whose degree already exceeds d.
+    """
     if d >= (ell - 1) * m:
         raise ValueError("need d < (ell-1)m")
     t0 = time.perf_counter()
     connected = set()
     disconnected = []
-    for p in enumerate_positions(ell, m):
-        if degr_alpha(p) != d:
-            continue
+    for a in kernels.ellm_paths_of_degree(ell, m, d):
+        p = PositionPath(m, a)
         if cycles.is_connected(p):
-            connected.add(p.positions)
+            connected.add(a)
         else:
             disconnected.append(p)
     strings = []

@@ -128,11 +128,12 @@ def test_criterion_5_basecase_desk_scale():
     report(5, "base case m in [1,5], d* = 5")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("QTCAT_FULL_BASECASE"),
-    reason="full-scale base case is opt-in; set QTCAT_FULL_BASECASE=1",
-)
-def test_criterion_5_basecase_full_scale():
+@pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
+def test_criterion_5_basecase_full_scale(impl, monkeypatch):
+    # seconds on the C kernel, minutes on the pure-Python one
+    if impl.BACKEND == "python" and not os.environ.get("QTCAT_FULL_BASECASE"):
+        pytest.skip("pure-Python full-scale base case is opt-in; set QTCAT_FULL_BASECASE=1")
+    monkeypatch.setattr(kernels, "_impl", impl)
     r = verify.basecase(range(1, 21), 20)
     assert r.verdict, r.witness
     report(5, "base case m in [1,20], d* = 20 (full scale)")

@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
 
 import pytest
 
-from qtcat import verify
+from qtcat import kernels, verify
 from qtcat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -109,6 +110,20 @@ def test_strings_command(capsys):
     assert "disconnected (6):" in out
     # the whole listing, disconnected paths in walk order
     assert out == (DATA / "strings_4_3_5.txt").read_text()
+
+
+# SHA-256 of the whole plain output of `strings --ellm 6,4 --d 10` (the
+# perfbench strings workload), made by the unpruned walk that enumerated every
+# (6,4)-path and kept those of degree 10: 30 strings, 1,934 paths
+STRINGS_6_4_10_SHA256 = "60bcb5f491d80a9b0ebe1447ecf1d56ecc7730c768ebf1617a48c4dd63d60b39"
+
+
+@pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
+def test_strings_at_benchmark_scale_match_golden_digest(capsys, monkeypatch, impl):
+    monkeypatch.setattr(kernels, "_impl", impl)
+    code, out, _ = run_cli(capsys, "strings", "--ellm", "6,4", "--d", "10")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STRINGS_6_4_10_SHA256
 
 
 def test_strings_bad_degree(capsys):
@@ -217,8 +232,14 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
         ["verify", "--slope", "1/2147483647"],
         ["basecase", "--dstar", "1000000000000000000000000", "--m-max", "2"],
         ["basecase", "--dstar", "3", "--m-max", "1000000000000000000000000"],
+        ["strings", "--ellm", "2000,1", "--d", "3"],
+        ["enumerate", "--slope", "1/2147483647"],
+        ["enumerate", "--ellm", "2000,1"],
     ],
-    ids=["verify", "poly", "verify-deep", "basecase-dstar", "basecase-m-max"],
+    ids=[
+        "verify", "poly", "verify-deep", "basecase-dstar", "basecase-m-max",
+        "strings", "enumerate-slope", "enumerate-ellm",
+    ],
 )
 def test_input_beyond_kernel_limits_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

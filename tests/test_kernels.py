@@ -115,6 +115,8 @@ def test_bounded_kernels_match_unpruned_filter(impl, ell, m):
             assert impl.ellm_census_bounded(ell, m, dstar) == (ac, mc), dstar
             want = [(d, pos) for d, pos in maximal if d <= dstar]
             assert impl.ellm_maximal_bounded(ell, m, dstar) == want, dstar
+            want = [pos for _, pos in by_degree.get(dstar, ())]
+            assert impl.ellm_paths_of_degree(ell, m, dstar) == want, dstar
 
 
 @pytest.mark.parametrize("n,s", [(20001, 2), (1001, 3)])
@@ -144,6 +146,12 @@ BAD_INPUT = [
     ("ellm_maximal_bounded", (0, 1, 3)),
     ("ellm_maximal_bounded", (10**20, 1, 3)),
     ("ellm_maximal_bounded", (kernels.MAX_DEPTH, 1, 0)),
+    ("ellm_paths_of_degree", (3, 2, -1)),
+    ("ellm_paths_of_degree", (0, 2, 3)),
+    ("ellm_paths_of_degree", (3, 0, 3)),
+    ("ellm_paths_of_degree", (3, 2, 2**63)),
+    ("ellm_paths_of_degree", (2000, 1, 3)),
+    ("ellm_paths_of_degree", (kernels.MAX_DEPTH, 1, 0)),
 ]
 
 
@@ -156,6 +164,8 @@ def test_census_rejects_bad_input(impl, monkeypatch):
         impl.ellm_census_bounded(3, 2, -1)
     with pytest.raises(ValueError):
         impl.ellm_maximal_bounded(3, 2, -1)
+    with pytest.raises(ValueError):
+        impl.ellm_paths_of_degree(3, 2, -1)
     # and qtcat.kernels checks every input before it dispatches, so each
     # backend rejects the same inputs with the same InputError
     monkeypatch.setattr(kernels, "_impl", impl)
@@ -180,6 +190,9 @@ def test_c_kernel_rejects_out_of_range_input(speedups):
 def test_selected_backend_exports():
     assert kernels.BACKEND in ("c", "python")
     assert kernels.rational_census(5, 3) == oracle_rational(5, 3)
+    assert kernels.ellm_paths_of_degree(4, 3, 5) == [
+        p.positions for p in paths.enumerate_positions(4, 3) if paths.degr_alpha(p) == 5
+    ]
 
 
 def test_backends_agree_on_larger_instance(speedups):
@@ -190,6 +203,9 @@ def test_backends_agree_on_larger_instance(speedups):
     # list results must agree element for element, same order included
     assert speedups.ellm_maximal_bounded(8, 3, 20) == _kernels_py.ellm_maximal_bounded(
         8, 3, 20
+    )
+    assert speedups.ellm_paths_of_degree(8, 3, 12) == _kernels_py.ellm_paths_of_degree(
+        8, 3, 12
     )
 
 
