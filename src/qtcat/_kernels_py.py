@@ -2,11 +2,13 @@
 
 These are the hot loops behind the verification drivers: they walk the whole
 path universe (or its degree-bounded part) once, maintaining the degree
-statistic incrementally from prefix sums.  The four kernels are
-rational_census and ellm_census_bounded, which count paths by (degr, area),
-and ellm_maximal_bounded and ellm_paths_of_degree, which list them.
-A compiled twin with identical signatures lives in qtcat._speedups;
-qtcat.kernels picks whichever is importable.
+statistic incrementally from prefix sums.  rational_census counts the paths
+of a slope by (degr, area).  The three (ell, m) kernels all take (ell, m,
+dstar) and share one degree-pruned walk: ellm_census_bounded counts the paths
+with degr <= dstar by (degr, area), ellm_paths_bounded lists them and
+ellm_maximal_bounded lists the maximal ones.  A compiled twin with identical
+signatures lives in qtcat._speedups; qtcat.kernels picks whichever is
+importable.
 """
 
 from __future__ import annotations
@@ -80,78 +82,66 @@ def _alpha(a, b, m):
     return d if d < m else m
 
 
-def ellm_census_bounded(ell, m, dstar):
-    """Count the (ell, m)-paths with degr <= dstar by (degr, area).
+def _ellm_walk(ell, m, a1, dstar, leaf):
+    """Call leaf(degr, area, a) on each (ell, m)-path with degr <= dstar.
 
-    Works in position coordinates with the incremental alpha update and
-    prunes any prefix whose running degree exceeds dstar.  Returns
-    (all_counts, max_counts) as in rational_census (maximal = a_1 == 0).
+    Works in position coordinates a = [0, a_1, ..., a_ell] with the
+    incremental alpha update, in the walk order of the C kernel: a_1 runs
+    down from a1 (m for every path, 0 for the maximal ones only), each later
+    a_i from a_{i-1} + m, which is the step-lexicographic order of the
+    generators.  A prefix whose running degree exceeds dstar is cut (sound
+    because no step lowers the degree).
     """
     if dstar < 0:
         raise ValueError("dstar must be >= 0")
-    all_counts = {}
-    max_counts = {}
     a = [0] * (ell + 1)
 
-    def rec(i, d, ar):
-        if i == ell + 1:
-            key = (d, ar)
-            all_counts[key] = all_counts.get(key, 0) + 1
-            if a[1] == 0:
-                max_counts[key] = max_counts.get(key, 0) + 1
+    def rec(i, d, ar, top):
+        if i > ell:
+            leaf(d, ar, a)
             return
-        # descending, matching the step-lexicographic order of the generators
-        for v in range(a[i - 1] + m, -1, -1):
+        for v in range(top, -1, -1):
             dd = d - max(0, v - m)
             for k in range(1, i):
                 dd += _alpha(a[k], v, m)
             if dd <= dstar:
                 a[i] = v
-                rec(i + 1, dd, ar + v)
+                rec(i + 1, dd, ar + v, v + m)
 
-    rec(1, 0, 0)
+    rec(1, 0, 0, a1)
+
+
+def ellm_census_bounded(ell, m, dstar):
+    """Count the (ell, m)-paths with degr <= dstar by (degr, area).
+
+    Returns (all_counts, max_counts) as in rational_census (maximal = a_1 == 0).
+    """
+    all_counts = {}
+    max_counts = {}
+
+    def count(d, ar, a):
+        key = (d, ar)
+        all_counts[key] = all_counts.get(key, 0) + 1
+        if a[1] == 0:
+            max_counts[key] = max_counts.get(key, 0) + 1
+
+    _ellm_walk(ell, m, m, dstar, count)
     return all_counts, max_counts
 
 
-def _ellm_paths(ell, m, dmin, dstar, maximal):
-    """List of (degr, positions) over the (ell, m)-paths with
-    dmin <= degr <= dstar, in walk order, pruned as in ellm_census_bounded;
-    a_1 = 0 pinned when maximal."""
+def _ellm_list(ell, m, a1, dstar):
     out = []
-    a = [0] * (ell + 1)
-
-    def rec(i, d):
-        if i == ell + 1:
-            if d >= dmin:
-                out.append((d, tuple(a)))
-            return
-        for v in range(a[i - 1] + m, -1, -1):
-            dd = d - max(0, v - m)
-            for k in range(1, i):
-                dd += _alpha(a[k], v, m)
-            if dd <= dstar:
-                a[i] = v
-                rec(i + 1, dd)
-
-    if maximal:
-        a[1] = 0
-        rec(2, 0)
-    else:
-        rec(1, 0)
+    _ellm_walk(ell, m, a1, dstar, lambda d, ar, a: out.append((d, tuple(a))))
     return out
 
 
+def ellm_paths_bounded(ell, m, dstar):
+    """List of (degr, positions) over the (ell, m)-paths with degr <= dstar,
+    in walk order."""
+    return _ellm_list(ell, m, m, dstar)
+
+
 def ellm_maximal_bounded(ell, m, dstar):
-    """List of (degr, positions) over maximal (ell, m)-paths with
-    degr <= dstar, pruned as in ellm_census_bounded."""
-    if dstar < 0:
-        raise ValueError("dstar must be >= 0")
-    return _ellm_paths(ell, m, 0, dstar, maximal=True)
-
-
-def ellm_paths_of_degree(ell, m, d):
-    """List of the positions of the (ell, m)-paths with degr == d, in walk
-    order; prefixes past degree d are pruned as in ellm_census_bounded."""
-    if d < 0:
-        raise ValueError("d must be >= 0")
-    return [a for _, a in _ellm_paths(ell, m, d, d, maximal=False)]
+    """List of (degr, positions) over the maximal (ell, m)-paths with
+    degr <= dstar, in walk order."""
+    return _ellm_list(ell, m, 0, dstar)

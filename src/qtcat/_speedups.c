@@ -1,10 +1,13 @@
 /* Compiled enumeration kernels; same contract as qtcat._kernels_py.
  *
- * Each walk is an iterative depth-first loop over int64 arrays sized to the
- * instance.  The census kernels count leaves into a growable open-addressed
- * table keyed by degr * (M + 1) + area, whose size follows the number of
- * distinct keys, and make Python objects only when they return; the listing
- * kernels append each path they keep to a Python list.
+ * rational_census(n, s) walks the paths of a slope; the three (ell, m)
+ * kernels, ellm_census_bounded, ellm_paths_bounded and ellm_maximal_bounded,
+ * all take (ell, m, dstar) and share one degree-pruned walk.  Each walk is an
+ * iterative depth-first loop over int64 arrays sized to the instance.  The
+ * census kernels count leaves into a growable open-addressed table keyed by
+ * degr * (M + 1) + area, whose size follows the number of distinct keys, and
+ * make Python objects only when they return; the listing kernels append each
+ * path they keep to a Python list.
  *
  * Inputs are limited to slopes n/s with n * s < LIMIT ((ell, m)-paths are
  * the paths of slope (m(ell+1)+1)/(ell+1)).  Then every intermediate value,
@@ -236,15 +239,13 @@ fail:
 
 /* ------------------------------------------------------------------------
  * the degree-bounded (ell, m) walk, shared by ellm_census_bounded,
- * ellm_maximal_bounded and ellm_paths_of_degree */
-
-static char *bounded_kwlist[] = {"ell", "m", "dstar", NULL};
-static char *degree_kwlist[] = {"ell", "m", "d", NULL};
+ * ellm_paths_bounded and ellm_maximal_bounded */
 
 static int
-ellm_args(PyObject *args, PyObject *kwds, const char *fmt, char **kwlist,
+ellm_args(PyObject *args, PyObject *kwds, const char *fmt,
           int64_t *ell, int64_t *m, int64_t *dstar)
 {
+    static char *kwlist[] = {"ell", "m", "dstar", NULL};
     long long e, mm, ds;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, fmt, kwlist, &e, &mm, &ds))
         return -1;
@@ -269,16 +270,16 @@ alpha(int64_t a, int64_t b, int64_t m)
 }
 
 /* what a walk does with each path it keeps */
-enum leaf { COUNT, LIST_PAIRS, LIST_POSITIONS };
+enum leaf { COUNT, LIST };
 
-/* Walks the (ell, m)-paths with dmin <= degr <= dstar in the order of
-   _kernels_py: a_1 runs down from a1 (m for every path, 0 for the maximal
-   ones only), each later a_i from a_{i-1} + m, and a prefix whose running
-   degree exceeds dstar is cut (sound because no step lowers the degree).
-   COUNT counts each path into all (and max when a_1 = 0); LIST_PAIRS
-   appends (degr, positions) to out, LIST_POSITIONS the positions alone. */
+/* Walks the (ell, m)-paths with degr <= dstar in the order of _kernels_py:
+   a_1 runs down from a1 (m for every path, 0 for the maximal ones only),
+   each later a_i from a_{i-1} + m, and a prefix whose running degree
+   exceeds dstar is cut (sound because no step lowers the degree).  COUNT
+   counts each path into all (and max when a_1 = 0); LIST appends
+   (degr, positions) to out. */
 static int
-ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dmin, int64_t dstar,
+ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar,
           enum leaf leaf, Table *all, Table *max, PyObject *out)
 {
     /* per depth i: a = a_i, deg = degr of a_1..a_{i-1}, ar = their sum */
@@ -312,8 +313,6 @@ ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dmin, int64_t dstar,
             ar[i] = ar[i - 1] + v;
             continue;
         }
-        if (d < dmin)
-            continue;
         if (leaf == COUNT) {
             int64_t key = d * width + ar[i] + v;
             if (table_add(all, key, 1) < 0 || (a[1] == 0 && table_add(max, key, 1) < 0))
@@ -331,8 +330,7 @@ ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dmin, int64_t dstar,
             }
             PyTuple_SET_ITEM(item, k, ak);
         }
-        if (leaf == LIST_PAIRS)
-            item = Py_BuildValue("(LN)", (long long)d, item);
+        item = Py_BuildValue("(LN)", (long long)d, item);
         if (item == NULL || PyList_Append(out, item) < 0) {
             Py_XDECREF(item);
             goto fail;
@@ -351,11 +349,11 @@ static PyObject *
 ellm_census_bounded(PyObject *self, PyObject *args, PyObject *kwds)
 {
     int64_t ell, m, dstar;
-    if (ellm_args(args, kwds, "LLL:ellm_census_bounded", bounded_kwlist, &ell, &m, &dstar) < 0)
+    if (ellm_args(args, kwds, "LLL:ellm_census_bounded", &ell, &m, &dstar) < 0)
         return NULL;
     Table all = {0}, max = {0};
     if (table_init(&all, 64) < 0 || table_init(&max, 64) < 0
-            || ellm_walk(ell, m, m, 0, dstar, COUNT, &all, &max, NULL) < 0) {
+            || ellm_walk(ell, m, m, dstar, COUNT, &all, &max, NULL) < 0) {
         table_free(&all);
         table_free(&max);
         return NULL;
@@ -363,32 +361,30 @@ ellm_census_bounded(PyObject *self, PyObject *args, PyObject *kwds)
     return census_result(&all, &max, m * ell * (ell + 1) / 2 + 1);
 }
 
-/* the list of the paths a walk keeps */
+/* (degr, positions) of each (ell, m)-path with degr <= dstar, or of each
+   maximal one, in walk order */
 static PyObject *
-ellm_list(int64_t ell, int64_t m, int64_t a1, int64_t dmin, int64_t dstar, enum leaf leaf)
+ellm_list(PyObject *args, PyObject *kwds, const char *fmt, int maximal)
 {
+    int64_t ell, m, dstar;
+    if (ellm_args(args, kwds, fmt, &ell, &m, &dstar) < 0)
+        return NULL;
     PyObject *out = PyList_New(0);
-    if (out != NULL && ellm_walk(ell, m, a1, dmin, dstar, leaf, NULL, NULL, out) < 0)
+    if (out != NULL && ellm_walk(ell, m, maximal ? 0 : m, dstar, LIST, NULL, NULL, out) < 0)
         Py_CLEAR(out);
     return out;
 }
 
 static PyObject *
-ellm_maximal_bounded(PyObject *self, PyObject *args, PyObject *kwds)
+ellm_paths_bounded(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    int64_t ell, m, dstar;
-    if (ellm_args(args, kwds, "LLL:ellm_maximal_bounded", bounded_kwlist, &ell, &m, &dstar) < 0)
-        return NULL;
-    return ellm_list(ell, m, 0, 0, dstar, LIST_PAIRS);
+    return ellm_list(args, kwds, "LLL:ellm_paths_bounded", 0);
 }
 
 static PyObject *
-ellm_paths_of_degree(PyObject *self, PyObject *args, PyObject *kwds)
+ellm_maximal_bounded(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    int64_t ell, m, d;
-    if (ellm_args(args, kwds, "LLL:ellm_paths_of_degree", degree_kwlist, &ell, &m, &d) < 0)
-        return NULL;
-    return ellm_list(ell, m, m, d, d, LIST_POSITIONS);
+    return ellm_list(args, kwds, "LLL:ellm_maximal_bounded", 1);
 }
 
 /* ------------------------------------------------------------------------ */
@@ -403,16 +399,16 @@ static PyMethodDef methods[] = {
      "ellm_census_bounded(ell, m, dstar)\n--\n\n"
      "Count the (ell, m)-paths with degr <= dstar by (degr, area); see "
      "qtcat._kernels_py."},
+    {"ellm_paths_bounded", (PyCFunction)(void (*)(void))ellm_paths_bounded,
+     METH_VARARGS | METH_KEYWORDS,
+     "ellm_paths_bounded(ell, m, dstar)\n--\n\n"
+     "List of (degr, positions) over the (ell, m)-paths with degr <= dstar; "
+     "see qtcat._kernels_py."},
     {"ellm_maximal_bounded", (PyCFunction)(void (*)(void))ellm_maximal_bounded,
      METH_VARARGS | METH_KEYWORDS,
      "ellm_maximal_bounded(ell, m, dstar)\n--\n\n"
      "List of (degr, positions) over maximal (ell, m)-paths with degr <= dstar; "
      "see qtcat._kernels_py."},
-    {"ellm_paths_of_degree", (PyCFunction)(void (*)(void))ellm_paths_of_degree,
-     METH_VARARGS | METH_KEYWORDS,
-     "ellm_paths_of_degree(ell, m, d)\n--\n\n"
-     "List of the positions of the (ell, m)-paths with degr == d; see "
-     "qtcat._kernels_py."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -73,16 +73,19 @@ def _rows_to_text(rows, header, fmt):
 def cmd_enumerate(args):
     header = ["steps", "area", "degr", "dinv", "maximal"]
     rows = []
-    # the generators recurse and allocate once per level, like the pure-Python
-    # kernels, so they are held to the kernels' limits
     if args.slope:
+        # the generator recurses and allocates once per level, like the
+        # pure-Python kernels, so it is held to the kernels' limits
         n, s = _parse_slope(args.slope)
         kernels.check_slope(n, s)
         stream = paths.enumerate_rational(n, s)
     elif args.ellm:
         ell, m = _parse_ellm(args.ellm)
-        kernels.check_ellm(ell, m, 0)
-        stream = paths.enumerate_ellm(ell, m)
+        # the degree-pruned walk, in the generators' order; no path the
+        # kernels accept has degree LIMIT or more, so that bound keeps all
+        bound = kernels.LIMIT if args.max_degr is None else args.max_degr
+        walk = kernels.ellm_paths_bounded(ell, m, min(max(bound, 0), kernels.LIMIT))
+        stream = (paths.positions_to_steps(paths.PositionPath(m, a)) for _, a in walk)
     else:
         raise UsageError("enumerate needs --slope or --ellm")
     for p in stream:

@@ -65,30 +65,35 @@ def left_tuple(a, m):
     return cycleleft_tuple(r, a)
 
 
+def _orbit(a, m, step):
+    """a, step(a, m), step(step(a, m), m), ... up to the first None.
+
+    Each step moves the area by one, so an orbit longer than the area range
+    is a bug, raised rather than looped on.
+    """
+    for _ in range(max_area(len(a) - 1, m) + 1):
+        yield a
+        a = step(a, m)
+        if a is None:
+            return
+    raise RuntimeError(
+        "%s orbit exceeded the area range; implementation bug" % step.__name__
+    )
+
+
 def lowest_tuple(a, m):
     """Iterate right until unrightable."""
-    ell = len(a) - 1
-    cap = max_area(ell, m) + 1
-    for _ in range(cap):
-        b = right_tuple(a, m)
-        if b is None:
-            return a
-        a = b
-    raise RuntimeError("right-orbit exceeded the area range; implementation bug")
+    for a in _orbit(a, m, right_tuple):
+        pass
+    return a
 
 
 def is_connected_tuple(a, m):
     """True when iterated left reaches a maximal tuple (a_1 == 0)."""
-    ell = len(a) - 1
-    cap = max_area(ell, m) + 1
-    for _ in range(cap):
-        if a[1] == 0:
-            return True
-        b = left_tuple(a, m)
-        if b is None:
-            return False
-        a = b
-    raise RuntimeError("left-orbit exceeded the area range; implementation bug")
+    for b in _orbit(a, m, left_tuple):
+        if b[1] == 0:
+            return True  # before the orbit applies left, undefined here
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +166,5 @@ def string_of(lam, m) -> PathString:
     if lam.size() >= (ell - 1) * m:
         raise ValueError("partition size must be < (ell-1)m")
     v = f(g(lam, m))
-    elems = [v]
-    cap = max_area(ell, m) + 1
-    for _ in range(cap):
-        nxt = right(elems[-1])
-        if nxt is None:
-            return PathString(source=lam, elements=tuple(elems))
-        elems.append(nxt)
-    raise RuntimeError("right-orbit exceeded the area range; implementation bug")
+    orbit = _orbit(v.positions, v.m, right_tuple)
+    return PathString(source=lam, elements=tuple(PositionPath(v.m, a) for a in orbit))

@@ -1,13 +1,15 @@
 """Kernel selection: the C extension when it was built, pure Python otherwise.
 
 Both backends export the same four functions with identical results:
-rational_census, ellm_census_bounded, ellm_maximal_bounded and
-ellm_paths_of_degree.  The C module qtcat._speedups is built by setup.py
-whenever a C compiler and Python.h are present; otherwise qtcat._kernels_py
-runs.  This module checks every input before it dispatches, so both
-backends reject the same inputs with the same InputError, a ValueError.  The
-test suite cross-checks the backends against each other and against the
-straightforward generators in qtcat.paths.
+rational_census(n, s), and the three (ell, m) kernels, which all take
+(ell, m, dstar) and walk the (ell, m)-paths with degr <= dstar:
+ellm_census_bounded counts them, ellm_paths_bounded lists them and
+ellm_maximal_bounded lists the maximal ones.  The C module qtcat._speedups
+is built by setup.py whenever a C compiler and Python.h are present;
+otherwise qtcat._kernels_py runs.  This module checks every input before it
+dispatches, so both backends reject the same inputs with the same
+InputError, a ValueError.  The test suite cross-checks the backends against
+each other and against the straightforward generators in qtcat.paths.
 """
 
 from math import gcd
@@ -71,15 +73,15 @@ def ellm_census_bounded(ell, m, dstar):
     return _impl.ellm_census_bounded(ell, m, dstar)
 
 
+def ellm_paths_bounded(ell, m, dstar):
+    """List of (degr, positions) over the (ell, m)-paths with degr <= dstar,
+    in walk order; the walk cuts every prefix whose degree exceeds dstar."""
+    check_ellm(ell, m, dstar)
+    return _impl.ellm_paths_bounded(ell, m, dstar)
+
+
 def ellm_maximal_bounded(ell, m, dstar):
     """List of (degr, positions) over the maximal (ell, m)-paths with
     degr <= dstar, in walk order."""
     check_ellm(ell, m, dstar)
     return _impl.ellm_maximal_bounded(ell, m, dstar)
-
-
-def ellm_paths_of_degree(ell, m, d):
-    """List of the positions of the (ell, m)-paths with degr == d, in walk
-    order; the walk cuts every prefix whose degree already exceeds d."""
-    check_ellm(ell, m, d)
-    return _impl.ellm_paths_of_degree(ell, m, d)

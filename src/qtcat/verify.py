@@ -223,15 +223,17 @@ def basecase(m_values, dstar, jobs=1):
 def verify_string_partition(ell, m, d):
     """The connected degree-d paths are the disjoint union of the strings.
 
-    Only the degree-d paths are walked: kernels.ellm_paths_of_degree cuts
-    every prefix whose degree already exceeds d.
+    Only the paths of degree at most d are walked: kernels.ellm_paths_bounded
+    cuts every prefix whose degree already exceeds d.
     """
     if d >= (ell - 1) * m:
         raise ValueError("need d < (ell-1)m")
     t0 = time.perf_counter()
     connected = set()
     disconnected = []
-    for a in kernels.ellm_paths_of_degree(ell, m, d):
+    for degr, a in kernels.ellm_paths_bounded(ell, m, d):
+        if degr != d:
+            continue
         p = PositionPath(m, a)
         if cycles.is_connected(p):
             connected.add(a)

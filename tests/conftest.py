@@ -1,12 +1,14 @@
 """Shared fixtures: both kernel backends, the C one built once per session.
 
 The C kernel is built from this tree's setup.py into a temporary directory
-and loaded from there, so the suite runs it without an install step.  Its
+and loaded from there, so the suite runs it without an install step.  It is
+built with -Wall -Werror, so a new compiler warning fails the suite.  Its
 cases are skipped only when no C compiler or no Python.h is found; a build
 that fails with both present is an error.
 """
 
 import importlib.util
+import os
 import shutil
 import subprocess
 import sys
@@ -40,6 +42,7 @@ def speedups(tmp_path_factory):
         [sys.executable, "setup.py", "build_ext",
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
         cwd=ROOT, capture_output=True, text=True,
+        env=dict(os.environ, CFLAGS="-Wall -Werror"),
     )
     built = sorted((out / "lib" / "qtcat").glob("_speedups*"))
     if proc.returncode != 0 or not built:

@@ -46,6 +46,29 @@ def test_enumerate_ellm_bounded(capsys):
     assert len(rows) > 0
 
 
+# whole outputs of `enumerate --ellm 4,3`, captured when the listing still
+# came from filtering every path of the plain generator
+@pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["enumerate", "--ellm", "4,3"], "enumerate_4_3.txt"),
+        (["--format", "csv", "enumerate", "--ellm", "4,3", "--max-degr", "5"],
+         "enumerate_4_3_max5.csv"),
+        (["--format", "json", "enumerate", "--ellm", "4,3", "--max-degr", "0"],
+         "enumerate_4_3_max0.json"),
+        (["enumerate", "--ellm", "4,3", "--max-degr", "-1"], "enumerate_4_3_max-1.txt"),
+    ],
+    ids=["plain", "csv-max-5", "json-max-0", "max-below-0"],
+)
+def test_enumerate_ellm_matches_pinned_output(capsys, monkeypatch, impl, argv, name):
+    monkeypatch.setattr(kernels, "_impl", impl)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    # bytes, so the csv writer's \r\n line ends are compared as they are
+    assert out == (DATA / name).read_bytes().decode()
+
+
 def test_enumerate_non_coprime_exits_2(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--slope", "6/3")
     assert code == 2

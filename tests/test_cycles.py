@@ -149,3 +149,17 @@ def test_is_connected():
         for p in enumerate_positions(2, m):
             if degr_alpha(p) < m:
                 assert is_connected(p)
+
+
+def test_orbit_longer_than_the_area_range_raises():
+    # each step moves the area by one, so an orbit holds at most
+    # max_area + 1 tuples; one step more is a bug and raises, not loops
+    a = (0, 1, 2)  # max_area(2, 1) = 3
+
+    def stepping(times):
+        budget = iter(range(times))
+        return lambda b, m: b if next(budget, None) is not None else None
+
+    assert len(list(cycles._orbit(a, 1, stepping(3)))) == 4
+    with pytest.raises(RuntimeError, match="orbit exceeded"):
+        list(cycles._orbit(a, 1, stepping(4)))

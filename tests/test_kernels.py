@@ -7,7 +7,7 @@ import hashlib
 import json
 import os
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -115,8 +115,46 @@ def test_bounded_kernels_match_unpruned_filter(impl, ell, m):
             assert impl.ellm_census_bounded(ell, m, dstar) == (ac, mc), dstar
             want = [(d, pos) for d, pos in maximal if d <= dstar]
             assert impl.ellm_maximal_bounded(ell, m, dstar) == want, dstar
-            want = [pos for _, pos in by_degree.get(dstar, ())]
-            assert impl.ellm_paths_of_degree(ell, m, dstar) == want, dstar
+            want = [(d, pos) for d, _, pos in rows if d <= dstar]
+            assert impl.ellm_paths_bounded(ell, m, dstar) == want, dstar
+
+
+@lru_cache(maxsize=None)
+def q_binomial(N, k):
+    """Coefficients of the Gaussian binomial [N choose k]_q, lowest first, by
+    [N choose k] = [N-1 choose k-1] + q^k [N-1 choose k]."""
+    if k == 0 or k == N:
+        return (1,)
+    low, high = q_binomial(N - 1, k - 1), q_binomial(N - 1, k)
+    out = [0] * (k * (N - k) + 1)
+    for i, c in enumerate(low):
+        out[i] += c
+    for i, c in enumerate(high):
+        out[k + i] += c
+    return tuple(out)
+
+
+# the slopes of the n*s <= 120 conjecture sweep
+SWEEP = [
+    (n, s) for n in range(1, 121) for s in range(1, 121) if n * s <= 120 and gcd(n, s) == 1
+]
+
+
+@BACKENDS
+def test_census_specialises_to_the_rational_q_catalan(impl):
+    # q^M C(q, 1/q) = [n+s-1 choose s]_q / [n]_q, an identity the census
+    # does not define: a path counted under (degr d, area a) is the term
+    # q^a t^(M-d-a), which becomes q^(2a+d); multiplying both sides by
+    # [n]_q = 1 + q + ... + q^(n-1) keeps everything an integer list
+    assert len(SWEEP) == 449
+    for n, s in SWEEP:
+        all_counts, _ = impl.rational_census(n, s)
+        M = (n - 1) * (s - 1) // 2
+        lhs = [0] * (2 * M + n)
+        for (d, a), c in all_counts.items():
+            for j in range(n):
+                lhs[2 * a + d + j] += c
+        assert tuple(lhs) == q_binomial(n + s - 1, s), (n, s)
 
 
 @pytest.mark.parametrize("n,s", [(20001, 2), (1001, 3)])
@@ -146,12 +184,12 @@ BAD_INPUT = [
     ("ellm_maximal_bounded", (0, 1, 3)),
     ("ellm_maximal_bounded", (10**20, 1, 3)),
     ("ellm_maximal_bounded", (kernels.MAX_DEPTH, 1, 0)),
-    ("ellm_paths_of_degree", (3, 2, -1)),
-    ("ellm_paths_of_degree", (0, 2, 3)),
-    ("ellm_paths_of_degree", (3, 0, 3)),
-    ("ellm_paths_of_degree", (3, 2, 2**63)),
-    ("ellm_paths_of_degree", (2000, 1, 3)),
-    ("ellm_paths_of_degree", (kernels.MAX_DEPTH, 1, 0)),
+    ("ellm_paths_bounded", (3, 2, -1)),
+    ("ellm_paths_bounded", (0, 2, 3)),
+    ("ellm_paths_bounded", (3, 0, 3)),
+    ("ellm_paths_bounded", (3, 2, 2**63)),
+    ("ellm_paths_bounded", (2000, 1, 3)),
+    ("ellm_paths_bounded", (kernels.MAX_DEPTH, 1, 0)),
 ]
 
 
@@ -165,7 +203,7 @@ def test_census_rejects_bad_input(impl, monkeypatch):
     with pytest.raises(ValueError):
         impl.ellm_maximal_bounded(3, 2, -1)
     with pytest.raises(ValueError):
-        impl.ellm_paths_of_degree(3, 2, -1)
+        impl.ellm_paths_bounded(3, 2, -1)
     # and qtcat.kernels checks every input before it dispatches, so each
     # backend rejects the same inputs with the same InputError
     monkeypatch.setattr(kernels, "_impl", impl)
@@ -190,8 +228,10 @@ def test_c_kernel_rejects_out_of_range_input(speedups):
 def test_selected_backend_exports():
     assert kernels.BACKEND in ("c", "python")
     assert kernels.rational_census(5, 3) == oracle_rational(5, 3)
-    assert kernels.ellm_paths_of_degree(4, 3, 5) == [
-        p.positions for p in paths.enumerate_positions(4, 3) if paths.degr_alpha(p) == 5
+    assert kernels.ellm_paths_bounded(4, 3, 5) == [
+        (paths.degr_alpha(p), p.positions)
+        for p in paths.enumerate_positions(4, 3)
+        if paths.degr_alpha(p) <= 5
     ]
 
 
@@ -204,29 +244,37 @@ def test_backends_agree_on_larger_instance(speedups):
     assert speedups.ellm_maximal_bounded(8, 3, 20) == _kernels_py.ellm_maximal_bounded(
         8, 3, 20
     )
-    assert speedups.ellm_paths_of_degree(8, 3, 12) == _kernels_py.ellm_paths_of_degree(
+    assert speedups.ellm_paths_bounded(8, 3, 12) == _kernels_py.ellm_paths_bounded(
         8, 3, 12
     )
 
 
-def census_digest(census):
-    """SHA-256 of the sorted (all_counts, max_counts) tables."""
-    all_counts, max_counts = census
-    text = json.dumps([sorted(all_counts.items()), sorted(max_counts.items())])
-    return hashlib.sha256(text.encode()).hexdigest()
+def result_digest(result):
+    """SHA-256 of a kernel result: a census as its sorted (all_counts,
+    max_counts) tables, a listing as it is, in walk order."""
+    if isinstance(result, tuple):
+        result = [sorted(table.items()) for table in result]
+    return hashlib.sha256(json.dumps(result).encode()).hexdigest()
 
 
 def golden_calls():
-    """The 17/12 census and the 85 censuses of basecase(1..20, 15)."""
+    """The 17/12 and 19/13 censuses, the censuses of basecase(1..20, d*) at
+    d* = 15 and 20, and the maximal listings of basecase(1..20, 20)."""
     yield "rational_census", (17, 12)
     for m in range(1, 21):
         for ell in range(1, verify.lstar(m, 15) + 1):
             yield "ellm_census_bounded", (ell, m, 15)
+    yield "rational_census", (19, 13)
+    for m in range(1, 21):
+        for ell in range(1, verify.lstar(m, 20) + 1):
+            yield "ellm_census_bounded", (ell, m, 20)
+    for m in range(1, 21):
+        yield "ellm_maximal_bounded", (verify.lstar(m, 20), m, 20)
 
 
 def golden_digests(impl):
     return {
-        "%s%r" % (name, args): census_digest(getattr(impl, name)(*args))
+        "%s%r" % (name, args): result_digest(getattr(impl, name)(*args))
         for name, args in golden_calls()
     }
 
@@ -236,7 +284,7 @@ def test_census_matches_golden_digests(impl):
     if impl is _kernels_py and not os.environ.get("QTCAT_FULL_BASECASE"):
         pytest.skip("pure-Python golden censuses are opt-in; set QTCAT_FULL_BASECASE=1")
     got = golden_digests(impl)
-    assert len(got) == 86
+    assert len(got) == 213
     assert got == json.loads(GOLDEN.read_text())
 
 
