@@ -6,14 +6,17 @@ statistic incrementally from prefix sums.  rational_census counts the paths
 of a slope by (degr, area).  The three (ell, m) kernels all take (ell, m,
 dstar) and share one degree-pruned walk: ellm_census_bounded counts the paths
 with degr <= dstar by (degr, area), ellm_paths_bounded lists them and
-ellm_maximal_bounded lists the maximal ones.  A compiled twin with identical
-signatures lives in qtcat._speedups; qtcat.kernels picks whichever is
-importable.
+ellm_maximal_bounded lists the maximal ones.  The fifth kernel,
+lowest_tuple(a, m), the end of a right orbit, is qtcat.cycles.lowest_tuple
+itself.  A compiled twin with identical signatures lives in qtcat._speedups;
+qtcat.kernels picks whichever is importable.
 """
 
 from __future__ import annotations
 
 from math import gcd
+
+from qtcat.cycles import lowest_tuple  # noqa: F401 - the fifth kernel
 
 BACKEND = "python"
 

@@ -2,7 +2,8 @@
  *
  * rational_census(n, s) walks the paths of a slope; the three (ell, m)
  * kernels, ellm_census_bounded, ellm_paths_bounded and ellm_maximal_bounded,
- * all take (ell, m, dstar) and share one degree-pruned walk.  Each walk is an
+ * all take (ell, m, dstar) and share one degree-pruned walk; lowest_tuple(a, m)
+ * iterates the cycle map right on one position tuple.  Each walk is an
  * iterative depth-first loop over int64 arrays sized to the instance.  The
  * census kernels count leaves into a growable open-addressed table keyed by
  * degr * (M + 1) + area, whose size follows the number of distinct keys, and
@@ -13,12 +14,14 @@
  * the paths of slope (m(ell+1)+1)/(ell+1)).  Then every intermediate value,
  * including degr <= ell * n and each table key, stays below 2**62.  A walk
  * is s - 1 (or ell) levels deep, and s (or ell + 1) is at most MAX_DEPTH.
+ * An orbit takes the same (ell, m) limits and entries |a_i| < LIMIT.
  * qtcat.kernels checks the same limits before it calls in here.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdint.h>
+#include <string.h>
 
 #define LIMIT ((int64_t)1 << 31)
 #define MAX_DEPTH 512
@@ -241,6 +244,14 @@ fail:
  * the degree-bounded (ell, m) walk, shared by ellm_census_bounded,
  * ellm_paths_bounded and ellm_maximal_bounded */
 
+/* the (ell, m) limits, shared with lowest_tuple */
+static int
+ellm_fits(long long e, long long mm)
+{
+    return e >= 1 && mm >= 1 && e < MAX_DEPTH && mm < LIMIT
+        && mm * (e + 1) + 1 < LIMIT && (mm * (e + 1) + 1) * (e + 1) < LIMIT;
+}
+
 static int
 ellm_args(PyObject *args, PyObject *kwds, const char *fmt,
           int64_t *ell, int64_t *m, int64_t *dstar)
@@ -249,8 +260,7 @@ ellm_args(PyObject *args, PyObject *kwds, const char *fmt,
     long long e, mm, ds;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, fmt, kwlist, &e, &mm, &ds))
         return -1;
-    if (e < 1 || mm < 1 || ds < 0 || e >= MAX_DEPTH || mm >= LIMIT
-            || mm * (e + 1) + 1 >= LIMIT || (mm * (e + 1) + 1) * (e + 1) >= LIMIT) {
+    if (!ellm_fits(e, mm) || ds < 0) {
         PyErr_Format(PyExc_ValueError,
                      "(ell, m, dstar) = (%lld, %lld, %lld): need ell, m >= 1, dstar >= 0, "
                      "ell < %d and (m(ell+1)+1)(ell+1) < 2**31", e, mm, ds, MAX_DEPTH);
@@ -387,6 +397,79 @@ ellm_maximal_bounded(PyObject *self, PyObject *args, PyObject *kwds)
     return ellm_list(args, kwds, "LLL:ellm_maximal_bounded", 1);
 }
 
+/* ------------------------------------------------------------------------
+ * lowest_tuple(a, m): iterate right on the positions a = (a_0, ..., a_ell)
+ * until unrightable, in place, as qtcat.cycles.lowest_tuple does on tuples */
+
+static PyObject *
+lowest_tuple(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"a", "m", NULL};
+    PyObject *tup;
+    long long m;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!L:lowest_tuple", kwlist,
+                                     &PyTuple_Type, &tup, &m))
+        return NULL;
+    Py_ssize_t len = PyTuple_GET_SIZE(tup);
+    if (!ellm_fits(len - 1, m)) {
+        PyErr_Format(PyExc_ValueError,
+                     "lowest_tuple: (ell, m) = (%zd, %lld) with ell = len(a) - 1: need "
+                     "ell, m >= 1, ell < %d and (m(ell+1)+1)(ell+1) < 2**31",
+                     len - 1, m, MAX_DEPTH);
+        return NULL;
+    }
+    int64_t a[MAX_DEPTH + 1], ell = len - 1;
+    for (int64_t k = 0; k <= ell; k++) {
+        long long v = PyLong_AsLongLong(PyTuple_GET_ITEM(tup, k));
+        if (v == -1 && PyErr_Occurred())
+            return NULL;
+        if (v <= -LIMIT || v >= LIMIT) {
+            PyErr_Format(PyExc_ValueError,
+                         "lowest_tuple: position %lld is out of range: need |a_i| < 2**31", v);
+            return NULL;
+        }
+        a[k] = v;
+    }
+    /* each right step moves the area by one, so more than max_area of them
+       is a bug, raised rather than looped on */
+    int64_t steps = m * ell * (ell + 1) / 2;
+    for (;;) {
+        /* the point: minimal r with a_r - a_ell > -m, at most ell */
+        int64_t last = a[ell], r = 0;
+        while (a[r] - last <= -m)
+            r++;
+        if (r == ell)
+            break;
+        /* unrightable when the pair, the minimal k with a_k - a_{k+2} >= -m,
+           lies below r - 1 */
+        int64_t k = 0;
+        while (k + 2 <= r && a[k] - a[k + 2] < -m)
+            k++;
+        if (k + 2 <= r)
+            break;
+        if (steps-- == 0) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "right_tuple orbit exceeded the area range; implementation bug");
+            return NULL;
+        }
+        /* cycleright at r: a_ell + 1 moves in after a_r */
+        memmove(a + r + 2, a + r + 1, (size_t)(ell - r - 1) * sizeof(int64_t));
+        a[r + 1] = last + 1;
+    }
+    PyObject *out = PyTuple_New(len);
+    if (out == NULL)
+        return NULL;
+    for (int64_t i = 0; i <= ell; i++) {
+        PyObject *ai = PyLong_FromLongLong(a[i]);
+        if (ai == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(out, i, ai);
+    }
+    return out;
+}
+
 /* ------------------------------------------------------------------------ */
 
 static PyMethodDef methods[] = {
@@ -409,6 +492,11 @@ static PyMethodDef methods[] = {
      "ellm_maximal_bounded(ell, m, dstar)\n--\n\n"
      "List of (degr, positions) over maximal (ell, m)-paths with degr <= dstar; "
      "see qtcat._kernels_py."},
+    {"lowest_tuple", (PyCFunction)(void (*)(void))lowest_tuple,
+     METH_VARARGS | METH_KEYWORDS,
+     "lowest_tuple(a, m)\n--\n\n"
+     "Iterate right on the position tuple a until unrightable; see "
+     "qtcat.cycles.lowest_tuple."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -88,12 +88,25 @@ def lowest_tuple(a, m):
     return a
 
 
+def _left_orbit(a, m, decided):
+    """(visited, connected): iterate left from a up to the first tuple that
+    is a key of the dict decided, whose value is then the verdict, or up to
+    the orbit's end, a maximal tuple (a_1 == 0: connected) or an unleftable
+    one (disconnected).  visited lists the tuples walked before the stop, the
+    end included."""
+    visited = []
+    for b in _orbit(a, m, left_tuple):
+        if b in decided:
+            return visited, decided[b]
+        visited.append(b)
+        if b[1] == 0:
+            return visited, True  # before the orbit applies left, undefined here
+    return visited, False
+
+
 def is_connected_tuple(a, m):
     """True when iterated left reaches a maximal tuple (a_1 == 0)."""
-    for b in _orbit(a, m, left_tuple):
-        if b[1] == 0:
-            return True  # before the orbit applies left, undefined here
-    return False
+    return _left_orbit(a, m, {})[1]
 
 
 # ---------------------------------------------------------------------------

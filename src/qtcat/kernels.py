@@ -1,13 +1,15 @@
 """Kernel selection: the C extension when it was built, pure Python otherwise.
 
-Both backends export the same four functions with identical results:
-rational_census(n, s), and the three (ell, m) kernels, which all take
+Both backends export the same five functions with identical results:
+rational_census(n, s); the three (ell, m) kernels, which all take
 (ell, m, dstar) and walk the (ell, m)-paths with degr <= dstar:
 ellm_census_bounded counts them, ellm_paths_bounded lists them and
-ellm_maximal_bounded lists the maximal ones.  The C module qtcat._speedups
-is built by setup.py whenever a C compiler and Python.h are present;
-otherwise qtcat._kernels_py runs.  This module checks every input before it
-dispatches, so both backends reject the same inputs with the same
+ellm_maximal_bounded lists the maximal ones; and lowest_tuple(a, m), the
+end of the right orbit of a position tuple, which computation 1 walks (the
+pure-Python backend runs qtcat.cycles.lowest_tuple).  The C module
+qtcat._speedups is built by setup.py whenever a C compiler and Python.h are
+present; otherwise qtcat._kernels_py runs.  This module checks every input
+before it dispatches, so both backends reject the same inputs with the same
 InputError, a ValueError.  The test suite cross-checks the backends against
 each other and against the straightforward generators in qtcat.paths.
 """
@@ -85,3 +87,12 @@ def ellm_maximal_bounded(ell, m, dstar):
     degr <= dstar, in walk order."""
     check_ellm(ell, m, dstar)
     return _impl.ellm_maximal_bounded(ell, m, dstar)
+
+
+def lowest_tuple(a, m):
+    """Iterate right on the position tuple a = (a_0, ..., a_ell) until
+    unrightable; see qtcat.cycles.lowest_tuple."""
+    check_ellm(len(a) - 1, m, 0)
+    if max(a) >= LIMIT or min(a) <= -LIMIT:
+        raise InputError("positions must lie strictly between -2**31 and 2**31")
+    return _impl.lowest_tuple(a, m)

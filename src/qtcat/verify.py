@@ -19,7 +19,7 @@ from qtcat.bijections import (
     height_from_path,
 )
 from qtcat.paths import PositionPath, max_area, max_area_rational
-from qtcat.qtpoly import QtPolynomial, sym
+from qtcat.qtpoly import QtPolynomial
 
 
 @dataclass
@@ -54,12 +54,23 @@ class VerificationReport:
 def _slices_from_census(all_counts, max_counts, M):
     """Both sides, whole, from (degr, area) count tables: lhs sums
     q^area t^(M-d-area) over all paths, rhs sums sym(area, M-d-area) over
-    the maximal ones."""
+    the maximal ones.
+
+    sym(a, b) at total degree T = a + b is a run: q^j t^(T-j) for j in a..b
+    when a <= b, nothing when a = b + 1, and minus the run over j in
+    b+1..a-1 when a > b + 1.  Each run is added straight into rhs."""
     lhs = QtPolynomial({(a, M - d - a): c for (d, a), c in all_counts.items()})
     rhs = {}
     for (d, a), c in max_counts.items():
-        for key, v in sym(a, M - d - a).terms():
-            rhs[key] = rhs.get(key, 0) + c * v
+        T = M - d
+        b = T - a
+        if a <= b:
+            lo, hi = a, b
+        else:  # an empty run when a = b + 1
+            lo, hi, c = b + 1, a - 1, -c
+        for j in range(lo, hi + 1):
+            key = (j, T - j)
+            rhs[key] = rhs.get(key, 0) + c
     return lhs, QtPolynomial(rhs)
 
 
@@ -141,7 +152,7 @@ def computation1(m, dstar):
     for d, a in kernels.ellm_maximal_bounded(ell, m, dstar):
         checked += 1
         h = height_from_path(PositionPath(m, a))
-        low = cycles.lowest_tuple(a, m)
+        low = kernels.lowest_tuple(a, m)
         if sum(low) > M - h - d:
             witness = {"positions": list(a), "degr": d, "lowest_area": sum(low)}
             break
@@ -224,21 +235,25 @@ def verify_string_partition(ell, m, d):
     """The connected degree-d paths are the disjoint union of the strings.
 
     Only the paths of degree at most d are walked: kernels.ellm_paths_bounded
-    cuts every prefix whose degree already exceeds d.
+    cuts every prefix whose degree already exceeds d.  Paths on one left
+    orbit share its verdict, so each orbit is walked only up to the first
+    tuple an earlier orbit decided.
     """
     if d >= (ell - 1) * m:
         raise ValueError("need d < (ell-1)m")
     t0 = time.perf_counter()
     connected = set()
     disconnected = []
+    decided = {}  # each tuple a left orbit visited -> connected
     for degr, a in kernels.ellm_paths_bounded(ell, m, d):
         if degr != d:
             continue
-        p = PositionPath(m, a)
-        if cycles.is_connected(p):
+        visited, ok = cycles._left_orbit(a, m, decided)
+        decided.update(dict.fromkeys(visited, ok))
+        if ok:
             connected.add(a)
         else:
-            disconnected.append(p)
+            disconnected.append(PositionPath(m, a))
     strings = []
     covered = set()
     witness = None

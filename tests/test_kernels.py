@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qtcat import _kernels_py, kernels, paths, verify
+from qtcat import _kernels_py, cycles, kernels, paths, verify
 
 GOLDEN = Path(__file__).parent / "data" / "census_digests.json"
 
@@ -163,6 +163,30 @@ def test_thin_slopes_match_python(speedups, n, s):
     assert speedups.rational_census(n, s) == _kernels_py.rational_census(n, s)
 
 
+def test_c_lowest_tuple_matches_the_tuple_orbit(speedups):
+    # the pure-Python backend is cycles.lowest_tuple itself; C must match it
+    # on every path of a few small universes and on every maximal path that
+    # computation 1 walks in basecase(1..20, 20)
+    for ell, m in [(1, 3), (3, 2), (4, 3), (5, 2), (6, 1)]:
+        for p in paths.enumerate_positions(ell, m):
+            assert speedups.lowest_tuple(p.positions, m) == cycles.lowest_tuple(
+                p.positions, m
+            )
+    checked = 0
+    for m in range(1, 21):
+        for _, a in speedups.ellm_maximal_bounded(verify.lstar(m, 20), m, 20):
+            assert speedups.lowest_tuple(a, m) == cycles.lowest_tuple(a, m), (a, m)
+            checked += 1
+    assert checked == 13079
+
+
+@BACKENDS
+def test_lowest_tuple_orbit_past_the_area_range_raises(impl):
+    # no path, but a tuple whose right orbit outruns the cap of max_area steps
+    with pytest.raises(RuntimeError, match="orbit exceeded"):
+        impl.lowest_tuple((-3, 1, -2), 1)
+
+
 BAD_INPUT = [
     ("rational_census", (6, 3)),
     ("rational_census", (0, 1)),
@@ -190,6 +214,9 @@ BAD_INPUT = [
     ("ellm_paths_bounded", (3, 2, 2**63)),
     ("ellm_paths_bounded", (2000, 1, 3)),
     ("ellm_paths_bounded", (kernels.MAX_DEPTH, 1, 0)),
+    ("lowest_tuple", ((0, 1, 2), 0)),
+    ("lowest_tuple", ((0,) * (kernels.MAX_DEPTH + 1), 1)),
+    ("lowest_tuple", ((0, 2**31), 1)),
 ]
 
 
@@ -223,6 +250,9 @@ def test_c_kernel_rejects_out_of_range_input(speedups):
     for name, args in BAD_INPUT:
         with pytest.raises((ValueError, OverflowError)):
             getattr(speedups, name)(*args)
+    for a in [(0,), tuple(range(514)), (0, -(2**31)), (0, 2**63)]:
+        with pytest.raises((ValueError, OverflowError)):
+            speedups.lowest_tuple(a, 1)
 
 
 def test_selected_backend_exports():
@@ -233,6 +263,7 @@ def test_selected_backend_exports():
         for p in paths.enumerate_positions(4, 3)
         if paths.degr_alpha(p) <= 5
     ]
+    assert kernels.lowest_tuple((0, 0, 2, 2, 1), 3) == (0, 2, 4, 7, 10)
 
 
 def test_backends_agree_on_larger_instance(speedups):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtcat import cycles, kernels, paths, verify
 from qtcat.bijections import BoundedPartition, bounded_partitions
@@ -117,6 +119,47 @@ def test_computation2_witness_is_smallest_bad_degree(monkeypatch):
     assert list(r.witness) == ["ell", "d", "difference"]
     assert (r.witness["ell"], r.witness["d"]) == (3, 2)
     assert QtPolynomial.from_obj(r.witness["difference"]) == -sym(1, M - 2 - 1)
+
+
+def rhs_by_sym(max_counts, M):
+    """The right side as the sum of c * sym(a, M - d - a), one QtPolynomial
+    addition per term: the definition that _slices_from_census's run-based
+    assembly replaces."""
+    rhs = QtPolynomial()
+    for (d, a), c in max_counts.items():
+        for _ in range(c):
+            rhs = rhs + sym(a, M - d - a)
+    return rhs
+
+
+@st.composite
+def census_tables(draw):
+    """(max_counts, M): a (degr, area) -> count table with a key in each of
+    sym's three branches, a <= b, a = b + 1 and a > b + 1 (b = M - d - a)."""
+    M = draw(st.integers(1, 30))
+    d = st.integers(0, M)
+    table = draw(
+        st.dictionaries(
+            d.flatmap(lambda d: st.tuples(st.just(d), st.integers(0, M - d + 1))),
+            st.integers(1, 4),
+            max_size=12,
+        )
+    )
+    run = draw(d)
+    table[(run, draw(st.integers(0, (M - run) // 2)))] = draw(st.integers(1, 4))
+    odd = draw(st.sampled_from([e for e in range(M + 1) if (M - e) % 2]))
+    table[(odd, (M - odd + 1) // 2)] = draw(st.integers(1, 4))
+    neg = draw(d)
+    table[(neg, draw(st.integers((M - neg + 1) // 2 + 1, M - neg + 1)))] = draw(
+        st.integers(1, 4)
+    )
+    return table, M
+
+
+@given(census_tables())
+def test_run_assembly_equals_the_sum_of_syms(table):
+    max_counts, M = table
+    assert verify._slices_from_census({}, max_counts, M)[1] == rhs_by_sym(max_counts, M)
 
 
 def test_report_json_shape():
