@@ -26,13 +26,18 @@ def rational_census(n, s):
 
     Returns (all_counts, max_counts): dicts mapping (degr, area) -> number of
     paths, the second restricted to maximal paths.  The degree is accumulated
-    via the scaled beta numerators s*(x_i+...+x_j) - n(j-i+1), which are
-    nonzero by coprimality.
+    from the gamma terms min(|nu| // s, x_k or x_{k-1}), nu = s*X - n*j the
+    scaled beta numerator of X = x_k + ... + x_i and j = i - k + 1 in
+    1..s-1.  Coprimality makes nu nonzero, so with q = n*j // s: nu > 0
+    exactly when X > q, and then nu // s = X - q - 1, else (-nu) // s = q - X.
+    The walk therefore reads one table of q's and divides nothing, as the C
+    kernel does; the gcd guard is what makes the case split exact.
     """
     if gcd(n, s) != 1:
         raise ValueError("slope %d/%d is not coprime" % (n, s))
     ell = s - 1
-    M = sum(n * (i + 1) // s for i in range(ell))
+    fl = [n * j // s for j in range(ell + 1)]  # fl[j] = floor(n*j/s)
+    M = sum(fl[1:])
     all_counts = {}
     max_counts = {}
     if ell == 0:
@@ -54,22 +59,20 @@ def rational_census(n, s):
                 max_counts[key] = max_counts.get(key, 0) + 1
             return
         base = pref[i]
-        room = n * (i + 1) // s - base
+        room = fl[i + 1] - base
         for x in range(room + 1):
             xs[i] = x
             total = base + x
             pref[i + 1] = total
             dd = d
-            if i >= 1:
-                # gamma_{k i} for k in 1..i, from the scaled beta numerators
-                for k in range(1, i + 1):
-                    nu = s * (total - pref[k]) - n * (i - k + 1)
-                    if nu > 0:
-                        dd += min(xs[k], nu // s)
-                    elif nu < 0:
-                        dd += min(xs[k - 1], (-nu) // s)
-                    else:  # pragma: no cover - impossible for coprime slope
-                        raise AssertionError("beta = 0 for coprime slope")
+            # gamma_{k i} for k in 1..i, by the case split on X > q
+            for k in range(1, i + 1):
+                X = total - pref[k]
+                q = fl[i - k + 1]
+                if X > q:
+                    dd += min(xs[k], X - q - 1)
+                else:
+                    dd += min(xs[k - 1], q - X)
             slack = n * (i + 1) - s * total
             rec(i + 1, dd, w + (ell - i) * x, slack if slack < minslack else minslack)
 

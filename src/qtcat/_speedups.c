@@ -1,6 +1,7 @@
 /* Compiled enumeration kernels; same contract as qtcat._kernels_py.
  *
- * rational_census(n, s) walks the paths of a slope; the three (ell, m)
+ * rational_census(n, s) walks the paths of a slope, with a gamma step that
+ * reads a table of floor(nj/s) and divides nothing; the three (ell, m)
  * kernels, ellm_census_bounded, ellm_paths_bounded and ellm_maximal_bounded,
  * all take (ell, m, dstar) and share one degree-pruned walk; lowest_tuple(a, m)
  * iterates the cycle map right on one position tuple.  Each walk is an
@@ -183,18 +184,22 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
 
     /* per depth i: xs = x_i, pref = x_0 + ... + x_{i-1}, room = largest x_i,
        deg = degr of the prefix, w = sum (ell - k) x_k over k < i,
-       slk = min over k < i of n(k+1) - s*pref[k+1] */
-    int64_t *buf = PyMem_Calloc(6 * (size_t)(ell + 1), sizeof(int64_t));
+       slk = min over k < i of n(k+1) - s*pref[k+1]; and fl[j] = floor(nj/s)
+       for j = 0..ell, where nj < ns < 2**31 */
+    int64_t *buf = PyMem_Calloc(7 * (size_t)(ell + 1), sizeof(int64_t));
     if (buf == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
     int64_t *xs = buf, *pref = xs + ell + 1, *room = pref + ell + 1;
     int64_t *deg = room + ell + 1, *w = deg + ell + 1, *slk = w + ell + 1;
+    int64_t *fl = slk + ell + 1;
+    for (int64_t j = 0; j <= ell; j++)
+        fl[j] = n * j / s;
     uint64_t ticks = 0;
     int64_t i = 0;
     xs[0] = -1;
-    room[0] = n / s;
+    room[0] = fl[1];
     slk[0] = n * s;
     /* x_0..x_{ell-1} are walked; x_ell is forced */
     while (i >= 0) {
@@ -207,9 +212,15 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
         }
         int64_t total = pref[i] + x, d = deg[i];
         for (int64_t k = 1; k <= i; k++) {
-            /* gamma_{k i} from the scaled beta numerator, nonzero by coprimality */
-            int64_t nu = s * (total - pref[k]) - n * (i - k + 1);
-            int64_t g = (nu > 0 ? nu : -nu) / s, cap = nu > 0 ? xs[k] : xs[k - 1];
+            /* gamma_{k i} = min(floor(|nu| / s), nu > 0 ? x_k : x_{k-1}) with
+               the scaled beta numerator nu = sX - nj, X = x_k + ... + x_i,
+               j = i - k + 1 in 1..s-1.  Coprimality makes nu nonzero, so
+               with q = floor(nj/s): nu > 0 exactly when X > q, and then
+               floor(nu/s) = X - q - 1, else floor(-nu/s) = q - X.  No
+               division and no branch on the data. */
+            int64_t X = total - pref[k], q = fl[i - k + 1], up = X > q;
+            int64_t g = X - q - up, cap = xs[k - 1 + up];
+            g = g < 0 ? -g : g;
             d += g < cap ? g : cap;
         }
         int64_t slack = n * (i + 1) - s * total;
@@ -224,7 +235,7 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
         i++;
         xs[i] = -1;
         pref[i] = total;
-        room[i] = n * (i + 1) / s - total;
+        room[i] = fl[i + 1] - total;
         deg[i] = d;
         w[i] = wi;
         slk[i] = minslack;

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -130,9 +131,39 @@ def cmd_poly(args):
     return 0
 
 
+# one polynomial term as json.dumps(report.to_obj(), indent=2) lays it out
+_TERM = '    {\n      "q": %d,\n      "t": %d,\n      "c": %d\n    }'
+
+
+def _side_json(poly):
+    if poly is None:
+        return "null"
+    terms = ",\n".join(_TERM % (a, b, c) for (a, b), c in poly.terms())
+    return "[\n%s\n  ]" % terms if terms else "[]"
+
+
+def _report_json(report):
+    """json.dumps(report.to_obj(), indent=2) + "\n", byte for byte.
+
+    indent turns json's C encoder off, and the pure-Python one is slow on the
+    thousands of terms of lhs and rhs, so those are laid out from a template;
+    every other field still goes through json.dumps, one level deeper by two
+    more spaces after each newline (json escapes the newlines in strings)."""
+    sides = {"lhs": _side_json(report.lhs), "rhs": _side_json(report.rhs)}
+    obj = dataclasses.replace(report, lhs=None, rhs=None).to_obj()
+    fields = ",\n".join(
+        "  %s: %s" % (
+            json.dumps(k),
+            sides[k] if k in sides else json.dumps(v, indent=2).replace("\n", "\n  "),
+        )
+        for k, v in obj.items()
+    )
+    return "{\n%s\n}\n" % fields
+
+
 def _report_exit(report, args):
     if args.format == "json":
-        text = json.dumps(report.to_obj(), indent=2) + "\n"
+        text = _report_json(report)
     else:
         lines = ["verdict: %s" % ("pass" if report.verdict else "fail")]
         lines.append("params: %s" % json.dumps(report.params))

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from qtcat import kernels, verify
-from qtcat.cli import main
+from qtcat.bijections import BoundedPartition
+from qtcat.cli import _report_json, main
+from qtcat.qtpoly import QtPolynomial
 
 DATA = Path(__file__).parent / "data"
 
@@ -118,6 +120,59 @@ def test_verify_json(capsys):
     obj = json.loads(out)
     assert obj["verdict"] == "pass"
     assert obj["counts"]["paths"] == 7
+
+
+def _failing_report(lhs):
+    # no slope is known to fail, so made-up sides stand in for a failing check
+    rhs = QtPolynomial({(0, 2): 1, (1, 1): 1})
+    return verify.VerificationReport(
+        params={"n": 3, "s": 2},
+        verdict=False,
+        lhs=lhs,
+        rhs=rhs,
+        witness=verify._mismatch(lhs, rhs, 2),
+        counts={"paths": 3, "runtime": 0.25},
+    )
+
+
+REPORTS = {
+    "verify-17-12": lambda: verify.check_conjecture(17, 12),
+    "verify-5-3": lambda: verify.check_conjecture(5, 3),
+    "verify-1-1": lambda: verify.check_conjecture(1, 1),
+    # a negative coefficient and two past int64
+    "failing": lambda: _failing_report(
+        QtPolynomial({(0, 2): -3, (1, 1): 2**63, (2, 0): 10**30})
+    ),
+    "empty-lhs": lambda: _failing_report(QtPolynomial()),
+    "basecase": lambda: verify.basecase(range(1, 4), 5),
+    "strings": lambda: verify.verify_string_partition(5, 3, 7),
+    # lhs and rhs are None
+    "projection": lambda: verify.verify_projection(BoundedPartition((4, 2, 1), 4), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_json_report_renderer_equals_json_dumps(request, monkeypatch, name):
+    if name == "verify-17-12":
+        # on C; the pure-Python census of 17/12 runs in the digest test below
+        monkeypatch.setattr(kernels, "_impl", request.getfixturevalue("speedups"))
+    report = REPORTS[name]()
+    assert _report_json(report) == json.dumps(report.to_obj(), indent=2) + "\n"
+
+
+# SHA-256 of the stdout of `--format json verify --slope 17/12` with runtime
+# 0.0, as json.dumps(report.to_obj(), indent=2) wrote it before the template
+# renderer: 307,105 bytes
+VERIFY_17_12_JSON_SHA256 = "3e5a1c5106fb8eac399b0e1180e3a9a3443e1caacb6e4d0674bb306693492c5e"
+
+
+@pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
+def test_verify_17_12_json_matches_golden_digest(capsys, monkeypatch, impl):
+    monkeypatch.setattr(kernels, "_impl", impl)
+    monkeypatch.setattr(verify.time, "perf_counter", lambda: 0.0)
+    code, out, err = run_cli(capsys, "--format", "json", "verify", "--slope", "17/12")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_17_12_JSON_SHA256
 
 
 def test_basecase_small(capsys):

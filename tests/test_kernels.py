@@ -157,6 +157,31 @@ def test_census_specialises_to_the_rational_q_catalan(impl):
         assert tuple(lhs) == q_binomial(n + s - 1, s), (n, s)
 
 
+def test_c_census_tables_match_python_on_the_sweep(speedups):
+    # the whole (all, max) tables, not only the q-binomial marginal above
+    for n, s in SWEEP:
+        assert speedups.rational_census(n, s) == _kernels_py.rational_census(n, s), (n, s)
+
+
+def test_division_free_gamma_step():
+    # both census kernels take floor(|s*X - n*j| / s), 1 <= j < s, as
+    # X - q - 1 when X > q and q - X otherwise, with q = floor(n*j/s); this
+    # needs s*X != n*j, which gcd(n, s) = 1 guarantees
+    checked = 0
+    for n in range(1, 201):
+        for s in range(2, 200 // n + 1):
+            if gcd(n, s) != 1:
+                continue
+            for j in range(1, s):
+                q = n * j // s
+                for X in range(q - 3, q + 4):
+                    nu = s * X - n * j
+                    assert nu != 0
+                    assert abs(nu) // s == (X - q - 1 if X > q else q - X), (n, s, j, X)
+                    checked += 1
+    assert checked == 186431
+
+
 @pytest.mark.parametrize("n,s", [(20001, 2), (1001, 3)])
 def test_thin_slopes_match_python(speedups, n, s):
     # M = 10,000 and 1,000, but only 10,001 and 167,501 paths
