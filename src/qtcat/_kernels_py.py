@@ -4,9 +4,10 @@ These are the hot loops behind the verification drivers: they walk the whole
 path universe (or its degree-bounded part) once, maintaining the degree
 statistic incrementally from prefix sums.  rational_census counts the paths
 of a slope by (degr, area).  The three (ell, m) kernels all take (ell, m,
-dstar) and share one degree-pruned walk: ellm_census_bounded counts the paths
-with degr <= dstar by (degr, area), ellm_paths_bounded lists them and
-ellm_maximal_bounded lists the maximal ones.  The fifth kernel,
+dstar) and share one degree-pruned walk: ellm_census_levels counts the paths
+with degr <= dstar by (degr, area) at every level 1..ell of that walk,
+ellm_paths_bounded lists them and ellm_maximal_bounded lists the maximal
+ones.  The fifth kernel,
 lowest_tuple(a, m), the end of a right orbit, is qtcat.cycles.lowest_tuple
 itself.  A compiled twin with identical signatures lives in qtcat._speedups;
 qtcat.kernels picks whichever is importable.
@@ -88,56 +89,57 @@ def _alpha(a, b, m):
     return d if d < m else m
 
 
-def _ellm_walk(ell, m, a1, dstar, leaf):
-    """Call leaf(degr, area, a) on each (ell, m)-path with degr <= dstar.
+def _ellm_walk(ell, m, a1, dstar, visit, first):
+    """Call visit(i, degr, area, a) on each (i, m)-path with degr <= dstar,
+    for every level i from first to ell.
 
     Works in position coordinates a = [0, a_1, ..., a_ell] with the
     incremental alpha update, in the walk order of the C kernel: a_1 runs
     down from a1 (m for every path, 0 for the maximal ones only), each later
     a_i from a_{i-1} + m, which is the step-lexicographic order of the
     generators.  A prefix whose running degree exceeds dstar is cut (sound
-    because no step lowers the degree).
+    because no step lowers the degree), so the nodes entered at level i are
+    exactly the (i, m)-paths with degr <= dstar, and a[:i + 1] is the path.
     """
     if dstar < 0:
         raise ValueError("dstar must be >= 0")
     a = [0] * (ell + 1)
 
     def rec(i, d, ar, top):
-        if i > ell:
-            leaf(d, ar, a)
-            return
         for v in range(top, -1, -1):
             dd = d - max(0, v - m)
             for k in range(1, i):
                 dd += _alpha(a[k], v, m)
             if dd <= dstar:
                 a[i] = v
-                rec(i + 1, dd, ar + v, v + m)
+                if i >= first:
+                    visit(i, dd, ar + v, a)
+                if i < ell:
+                    rec(i + 1, dd, ar + v, v + m)
 
     rec(1, 0, 0, a1)
 
 
-def ellm_census_bounded(ell, m, dstar):
-    """Count the (ell, m)-paths with degr <= dstar by (degr, area).
+def ellm_census_levels(ell, m, dstar):
+    """[(all_counts, max_counts) for levels 1..ell]: level i counts the
+    (i, m)-paths with degr <= dstar by (degr, area), as rational_census
+    does (maximal = a_1 == 0), all from one walk at ell."""
+    levels = [({}, {}) for _ in range(ell)]
 
-    Returns (all_counts, max_counts) as in rational_census (maximal = a_1 == 0).
-    """
-    all_counts = {}
-    max_counts = {}
-
-    def count(d, ar, a):
+    def count(i, d, ar, a):
+        all_counts, max_counts = levels[i - 1]
         key = (d, ar)
         all_counts[key] = all_counts.get(key, 0) + 1
         if a[1] == 0:
             max_counts[key] = max_counts.get(key, 0) + 1
 
-    _ellm_walk(ell, m, m, dstar, count)
-    return all_counts, max_counts
+    _ellm_walk(ell, m, m, dstar, count, 1)
+    return levels
 
 
 def _ellm_list(ell, m, a1, dstar):
     out = []
-    _ellm_walk(ell, m, a1, dstar, lambda d, ar, a: out.append((d, tuple(a))))
+    _ellm_walk(ell, m, a1, dstar, lambda i, d, ar, a: out.append((d, tuple(a))), ell)
     return out
 
 

@@ -2,14 +2,15 @@
  *
  * rational_census(n, s) walks the paths of a slope, with a gamma step that
  * reads a table of floor(nj/s) and divides nothing; the three (ell, m)
- * kernels, ellm_census_bounded, ellm_paths_bounded and ellm_maximal_bounded,
+ * kernels, ellm_census_levels, ellm_paths_bounded and ellm_maximal_bounded,
  * all take (ell, m, dstar) and share one degree-pruned walk; lowest_tuple(a, m)
  * iterates the cycle map right on one position tuple.  Each walk is an
  * iterative depth-first loop over int64 arrays sized to the instance.  The
- * census kernels count leaves into a growable open-addressed table keyed by
+ * census kernels count paths into growable open-addressed tables keyed by
  * degr * (M + 1) + area, whose size follows the number of distinct keys, and
- * make Python objects only when they return; the listing kernels append each
- * path they keep to a Python list.
+ * make Python objects only when they return: rational_census counts the
+ * leaves, ellm_census_levels every node at every level of the walk.  The
+ * listing kernels append each path they keep to a Python list.
  *
  * Inputs are limited to slopes n/s with n * s < LIMIT ((ell, m)-paths are
  * the paths of slope (m(ell+1)+1)/(ell+1)).  Then every intermediate value,
@@ -252,7 +253,7 @@ fail:
 }
 
 /* ------------------------------------------------------------------------
- * the degree-bounded (ell, m) walk, shared by ellm_census_bounded,
+ * the degree-bounded (ell, m) walk, shared by ellm_census_levels,
  * ellm_paths_bounded and ellm_maximal_bounded */
 
 /* the (ell, m) limits, shared with lowest_tuple */
@@ -290,15 +291,18 @@ alpha(int64_t a, int64_t b, int64_t m)
     return d < m ? d : m;
 }
 
-/* what a walk does with each path it keeps */
+/* what a walk does with the paths it keeps */
 enum leaf { COUNT, LIST };
 
 /* Walks the (ell, m)-paths with degr <= dstar in the order of _kernels_py:
    a_1 runs down from a1 (m for every path, 0 for the maximal ones only),
    each later a_i from a_{i-1} + m, and a prefix whose running degree
-   exceeds dstar is cut (sound because no step lowers the degree).  COUNT
-   counts each path into all (and max when a_1 = 0); LIST appends
-   (degr, positions) to out. */
+   exceeds dstar is cut (sound because no step lowers the degree).  The
+   nodes the walk enters at level i are then exactly the (i, m)-paths with
+   degr <= dstar.  COUNT counts each of them, at every level i, into
+   all[i - 1] (and max[i - 1] when a_1 = 0) under the key degr * width +
+   area, with the width of level ell; LIST appends (degr, positions) of each
+   path at level ell to out. */
 static int
 ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar,
           enum leaf leaf, Table *all, Table *max, PyObject *out)
@@ -327,6 +331,12 @@ ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar,
             d += alpha(a[k], v, m);
         if (d > dstar)
             continue;
+        if (leaf == COUNT) {
+            int64_t key = d * width + ar[i] + v;
+            if (table_add(&all[i - 1], key, 1) < 0
+                    || (a[1] == 0 && table_add(&max[i - 1], key, 1) < 0))
+                goto fail;
+        }
         if (i < ell) {
             i++;
             a[i] = v + m + 1;
@@ -334,12 +344,8 @@ ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar,
             ar[i] = ar[i - 1] + v;
             continue;
         }
-        if (leaf == COUNT) {
-            int64_t key = d * width + ar[i] + v;
-            if (table_add(all, key, 1) < 0 || (a[1] == 0 && table_add(max, key, 1) < 0))
-                goto fail;
+        if (leaf == COUNT)
             continue;
-        }
         PyObject *item = PyTuple_New(ell + 1);
         if (item == NULL)
             goto fail;
@@ -366,20 +372,41 @@ fail:
     return -1;
 }
 
+/* [(all_counts, max_counts) for levels 1..ell]: level i counts the (i, m)-paths
+   with degr <= dstar, all from one walk at ell */
 static PyObject *
-ellm_census_bounded(PyObject *self, PyObject *args, PyObject *kwds)
+ellm_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
 {
     int64_t ell, m, dstar;
-    if (ellm_args(args, kwds, "LLL:ellm_census_bounded", &ell, &m, &dstar) < 0)
+    if (ellm_args(args, kwds, "LLL:ellm_census_levels", &ell, &m, &dstar) < 0)
         return NULL;
-    Table all = {0}, max = {0};
-    if (table_init(&all, 64) < 0 || table_init(&max, 64) < 0
-            || ellm_walk(ell, m, m, dstar, COUNT, &all, &max, NULL) < 0) {
-        table_free(&all);
-        table_free(&max);
-        return NULL;
+    Table *tables = PyMem_Calloc(2 * (size_t)ell, sizeof(Table));
+    if (tables == NULL)
+        return PyErr_NoMemory();
+    Table *all = tables, *max = tables + ell;
+    PyObject *out = NULL;
+    int64_t i = 0;
+    for (int64_t k = 0; k < ell; k++)
+        if (table_init(&all[k], 64) < 0 || table_init(&max[k], 64) < 0)
+            goto done;
+    if (ellm_walk(ell, m, m, dstar, COUNT, all, max, NULL) < 0)
+        goto done;
+    out = PyList_New(ell);
+    /* census_result frees the two tables of a level as it converts them */
+    for (; out != NULL && i < ell; i++) {
+        PyObject *level = census_result(&all[i], &max[i], m * ell * (ell + 1) / 2 + 1);
+        if (level == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, level);
     }
-    return census_result(&all, &max, m * ell * (ell + 1) / 2 + 1);
+done:
+    for (; i < ell; i++) {
+        table_free(&all[i]);
+        table_free(&max[i]);
+    }
+    PyMem_Free(tables);
+    return out;
 }
 
 /* (degr, positions) of each (ell, m)-path with degr <= dstar, or of each
@@ -488,11 +515,11 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "rational_census(n, s)\n--\n\n"
      "Count the paths of slope n/s by (degr, area); see qtcat._kernels_py."},
-    {"ellm_census_bounded", (PyCFunction)(void (*)(void))ellm_census_bounded,
+    {"ellm_census_levels", (PyCFunction)(void (*)(void))ellm_census_levels,
      METH_VARARGS | METH_KEYWORDS,
-     "ellm_census_bounded(ell, m, dstar)\n--\n\n"
-     "Count the (ell, m)-paths with degr <= dstar by (degr, area); see "
-     "qtcat._kernels_py."},
+     "ellm_census_levels(ell, m, dstar)\n--\n\n"
+     "For each level 1..ell, count the (level, m)-paths with degr <= dstar by "
+     "(degr, area); see qtcat._kernels_py."},
     {"ellm_paths_bounded", (PyCFunction)(void (*)(void))ellm_paths_bounded,
      METH_VARARGS | METH_KEYWORDS,
      "ellm_paths_bounded(ell, m, dstar)\n--\n\n"

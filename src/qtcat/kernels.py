@@ -3,8 +3,9 @@
 Both backends export the same five functions with identical results:
 rational_census(n, s); the three (ell, m) kernels, which all take
 (ell, m, dstar) and walk the (ell, m)-paths with degr <= dstar:
-ellm_census_bounded counts them, ellm_paths_bounded lists them and
-ellm_maximal_bounded lists the maximal ones; and lowest_tuple(a, m), the
+ellm_census_levels counts them, and in the same walk the shorter paths at
+every level below, ellm_paths_bounded lists them and ellm_maximal_bounded
+lists the maximal ones; and lowest_tuple(a, m), the
 end of the right orbit of a position tuple, which computation 1 walks (the
 pure-Python backend runs qtcat.cycles.lowest_tuple).  The C module
 qtcat._speedups is built by setup.py whenever a C compiler and Python.h are
@@ -14,7 +15,7 @@ InputError, a ValueError.  The test suite cross-checks the backends against
 each other and against the straightforward generators in qtcat.paths.
 """
 
-from math import gcd
+from math import comb, gcd
 
 try:
     from qtcat import _speedups as _impl
@@ -32,6 +33,13 @@ BACKEND = _impl.BACKEND
 LIMIT = 2**31
 MAX_DEPTH = 512
 
+# A census is a dict with one entry per (degr, area) key, and every path of
+# a thin slope such as n/3 can have its own key.  A slope whose census could
+# hold more than MAX_KEYS keys is rejected before any walk: the key count is
+# at most the number of paths, C(n+s, s)/(n+s), and at most the number of
+# pairs degr + area <= M = (n-1)(s-1)/2, which is (M+1)(M+2)/2.
+MAX_KEYS = 2**20
+
 
 class InputError(ValueError):
     """An input the kernels reject: not a path universe, or past their limits."""
@@ -46,6 +54,12 @@ def check_slope(n, s):
     if n * s >= LIMIT or s > MAX_DEPTH:
         raise InputError(
             "slope %d/%d is too large: need n*s < 2**31 and s <= %d" % (n, s, MAX_DEPTH)
+        )
+    M = (n - 1) * (s - 1) // 2
+    if (M + 1) * (M + 2) // 2 > MAX_KEYS and comb(n + s, s) // (n + s) > MAX_KEYS:
+        raise InputError(
+            "slope %d/%d is too large: its census could hold more than 2**20 "
+            "(degr, area) keys" % (n, s)
         )
 
 
@@ -69,10 +83,16 @@ def rational_census(n, s):
     return _impl.rational_census(n, s)
 
 
+def ellm_census_levels(ell, m, dstar):
+    """[(all_counts, max_counts) for levels 1..ell]: entry i - 1 counts the
+    (i, m)-paths with degr <= dstar, all from one walk at ell."""
+    check_ellm(ell, m, dstar)
+    return _impl.ellm_census_levels(ell, m, dstar)
+
+
 def ellm_census_bounded(ell, m, dstar):
     """(all_counts, max_counts) over the (ell, m)-paths with degr <= dstar."""
-    check_ellm(ell, m, dstar)
-    return _impl.ellm_census_bounded(ell, m, dstar)
+    return ellm_census_levels(ell, m, dstar)[-1]
 
 
 def ellm_paths_bounded(ell, m, dstar):

@@ -74,6 +74,29 @@ def _slices_from_census(all_counts, max_counts, M):
     return lhs, QtPolynomial(rhs)
 
 
+def _sides_agree(all_counts, max_counts, M):
+    """Whether the two sides of _slices_from_census are equal, without
+    building them: slice d of a side is a sequence in the area j, and two
+    such sequences are equal exactly when their first differences in j are.
+    A path key (d, a) with count c steps lhs by +c at a and -c at a + 1; a
+    run over j in lo..hi with count c steps rhs by +c at lo and -c at
+    hi + 1.  steps holds lhs's steps minus rhs's, so the test costs one pass
+    over the keys, whatever the runs' lengths."""
+    steps = {}
+    for (d, a), c in all_counts.items():
+        steps[d, a] = steps.get((d, a), 0) + c
+        steps[d, a + 1] = steps.get((d, a + 1), 0) - c
+    for (d, a), c in max_counts.items():
+        b = M - d - a
+        if a <= b:
+            lo, hi = a, b
+        else:  # an empty run when a = b + 1: the two steps cancel
+            lo, hi, c = b + 1, a - 1, -c
+        steps[d, lo] = steps.get((d, lo), 0) - c
+        steps[d, hi + 1] = steps.get((d, hi + 1), 0) + c
+    return not any(steps.values())
+
+
 def _mismatch(lhs, rhs, M):
     """Witness for the smallest d whose slices differ: d and slice d of
     lhs - rhs.  None when the sides agree."""
@@ -168,17 +191,20 @@ def computation1(m, dstar):
 
 
 def computation2(m, dstar):
-    """Slice identity for every ell <= lstar(m, dstar) and every d <= dstar."""
+    """Slice identity for every ell <= lstar(m, dstar) and every d <= dstar.
+
+    One walk at lstar counts every level; the sides are assembled only at
+    the first ell where they differ, for the witness."""
     t0 = time.perf_counter()
     witness = None
     paths = maximal = 0
-    for ell in range(1, lstar(m, dstar) + 1):
-        all_counts, max_counts = kernels.ellm_census_bounded(ell, m, dstar)
+    levels = kernels.ellm_census_levels(lstar(m, dstar), m, dstar)
+    for ell, (all_counts, max_counts) in enumerate(levels, 1):
         paths += sum(all_counts.values())
         maximal += sum(max_counts.values())
         M = max_area(ell, m)
-        bad = _mismatch(*_slices_from_census(all_counts, max_counts, M), M)
-        if bad is not None:
+        if not _sides_agree(all_counts, max_counts, M):
+            bad = _mismatch(*_slices_from_census(all_counts, max_counts, M), M)
             witness = {"ell": ell, **bad}
             break
     return VerificationReport(

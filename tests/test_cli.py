@@ -324,3 +324,16 @@ def test_input_beyond_kernel_limits_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and ("too large" in err or "2**63" in err)
+
+
+def test_census_too_large_exits_2_before_any_walk(capsys, monkeypatch):
+    # 10001/3 is inside the int64 and depth limits, but each of its
+    # 16,675,001 paths has its own (degr, area) key; the walk must not start
+    def walk(n, s):
+        raise AssertionError("census walk started for %d/%d" % (n, s))
+
+    monkeypatch.setattr(kernels._impl, "rational_census", walk)
+    code, out, err = run_cli(capsys, "verify", "--slope", "10001/3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "too large" in err

@@ -55,7 +55,9 @@ def test_rational_census_matches_oracle(impl, n, s):
     "ell,m,dstar", [(1, 4, 9), (3, 2, 50), (4, 3, 6), (5, 2, 8), (2, 6, 0)]
 )
 def test_ellm_census_matches_oracle(impl, ell, m, dstar):
-    assert impl.ellm_census_bounded(ell, m, dstar) == oracle_ellm(ell, m, dstar)
+    # one walk at ell counts every level below it too
+    want = [oracle_ellm(level, m, dstar) for level in range(1, ell + 1)]
+    assert impl.ellm_census_levels(ell, m, dstar) == want
 
 
 @BACKENDS
@@ -98,21 +100,25 @@ def universe(ell, m):
 def test_bounded_kernels_match_unpruned_filter(impl, ell, m):
     rows = universe(ell, m)
     top = max(d for d, _, _ in rows)
-    by_degree = {}
-    for d, a, pos in rows:
-        by_degree.setdefault(d, []).append((a, pos))
+    # the paths of every level 1..ell by degree; no level below ell holds a
+    # degree above top, since a prefix's degree is at most its path's
+    by_degree = [{} for _ in range(ell)]
+    for level in range(1, ell + 1):
+        for d, a, pos in universe(level, m):
+            by_degree[level - 1].setdefault(d, []).append((a, pos))
     maximal = [(d, pos) for d, _, pos in rows if pos[1] == 0]
     # every degree bound on C; on the slow pure-Python walk five of them,
     # from 0 up to the largest degree (nothing pruned)
     bounds = {0, 1, top // 3, 2 * top // 3, top} if impl is _kernels_py else None
-    ac, mc = {}, {}
+    census = [({}, {}) for _ in range(ell)]
     for dstar in range(top + 1):
-        for a, pos in by_degree.get(dstar, ()):
-            ac[(dstar, a)] = ac.get((dstar, a), 0) + 1
-            if pos[1] == 0:
-                mc[(dstar, a)] = mc.get((dstar, a), 0) + 1
+        for (ac, mc), level in zip(census, by_degree):
+            for a, pos in level.get(dstar, ()):
+                ac[(dstar, a)] = ac.get((dstar, a), 0) + 1
+                if pos[1] == 0:
+                    mc[(dstar, a)] = mc.get((dstar, a), 0) + 1
         if bounds is None or dstar in bounds:
-            assert impl.ellm_census_bounded(ell, m, dstar) == (ac, mc), dstar
+            assert impl.ellm_census_levels(ell, m, dstar) == census, dstar
             want = [(d, pos) for d, pos in maximal if d <= dstar]
             assert impl.ellm_maximal_bounded(ell, m, dstar) == want, dstar
             want = [(d, pos) for d, _, pos in rows if d <= dstar]
@@ -212,6 +218,10 @@ def test_lowest_tuple_orbit_past_the_area_range_raises(impl):
         impl.lowest_tuple((-3, 1, -2), 1)
 
 
+# a census that could hold more than kernels.MAX_KEYS keys: every path of
+# slope 10001/3 has its own (degr, area) key, 16,675,001 of them
+TOO_MANY_KEYS = [("rational_census", (10001, 3))]
+
 BAD_INPUT = [
     ("rational_census", (6, 3)),
     ("rational_census", (0, 1)),
@@ -222,13 +232,14 @@ BAD_INPUT = [
     ("rational_census", (10**24 + 1, 2)),
     ("rational_census", (1, kernels.MAX_DEPTH + 1)),
     ("rational_census", (1, 2**31 - 1)),
-    ("ellm_census_bounded", (3, 2, -1)),
-    ("ellm_census_bounded", (0, 2, 3)),
-    ("ellm_census_bounded", (3, 0, 3)),
-    ("ellm_census_bounded", (3, 2, 2**63)),
-    ("ellm_census_bounded", (46340, 1, 0)),
-    ("ellm_census_bounded", (1, 2**30, 0)),
-    ("ellm_census_bounded", (kernels.MAX_DEPTH, 1, 0)),
+    *TOO_MANY_KEYS,
+    ("ellm_census_levels", (3, 2, -1)),
+    ("ellm_census_levels", (0, 2, 3)),
+    ("ellm_census_levels", (3, 0, 3)),
+    ("ellm_census_levels", (3, 2, 2**63)),
+    ("ellm_census_levels", (46340, 1, 0)),
+    ("ellm_census_levels", (1, 2**30, 0)),
+    ("ellm_census_levels", (kernels.MAX_DEPTH, 1, 0)),
     ("ellm_maximal_bounded", (3, 2, -1)),
     ("ellm_maximal_bounded", (0, 1, 3)),
     ("ellm_maximal_bounded", (10**20, 1, 3)),
@@ -251,7 +262,7 @@ def test_census_rejects_bad_input(impl, monkeypatch):
     with pytest.raises(ValueError):
         impl.rational_census(6, 3)
     with pytest.raises(ValueError):
-        impl.ellm_census_bounded(3, 2, -1)
+        impl.ellm_census_levels(3, 2, -1)
     with pytest.raises(ValueError):
         impl.ellm_maximal_bounded(3, 2, -1)
     with pytest.raises(ValueError):
@@ -262,6 +273,10 @@ def test_census_rejects_bad_input(impl, monkeypatch):
     for name, args in BAD_INPUT:
         with pytest.raises(kernels.InputError):
             getattr(kernels, name)(*args)
+        # the one-level census is the levels census, checked the same way
+        if name == "ellm_census_levels":
+            with pytest.raises(kernels.InputError):
+                kernels.ellm_census_bounded(*args)
 
 
 @BACKENDS
@@ -271,8 +286,12 @@ def test_census_accepts_the_deepest_slope(impl):
 
 
 def test_c_kernel_rejects_out_of_range_input(speedups):
-    # its own guard, for callers that bypass qtcat.kernels
+    # its own guard, for callers that bypass qtcat.kernels; it keeps the
+    # int64 arithmetic in range, while the bound on a census's size is
+    # qtcat.kernels' alone
     for name, args in BAD_INPUT:
+        if (name, args) in TOO_MANY_KEYS:
+            continue
         with pytest.raises((ValueError, OverflowError)):
             getattr(speedups, name)(*args)
     for a in [(0,), tuple(range(514)), (0, -(2**31)), (0, 2**63)]:
@@ -293,7 +312,7 @@ def test_selected_backend_exports():
 
 def test_backends_agree_on_larger_instance(speedups):
     assert speedups.rational_census(16, 9) == _kernels_py.rational_census(16, 9)
-    assert speedups.ellm_census_bounded(6, 3, 10) == _kernels_py.ellm_census_bounded(
+    assert speedups.ellm_census_levels(6, 3, 10) == _kernels_py.ellm_census_levels(
         6, 3, 10
     )
     # list results must agree element for element, same order included
@@ -318,21 +337,27 @@ def golden_calls():
     d* = 15 and 20, and the maximal listings of basecase(1..20, 20)."""
     yield "rational_census", (17, 12)
     for m in range(1, 21):
-        for ell in range(1, verify.lstar(m, 15) + 1):
-            yield "ellm_census_bounded", (ell, m, 15)
+        yield "ellm_census_levels", (verify.lstar(m, 15), m, 15)
     yield "rational_census", (19, 13)
     for m in range(1, 21):
-        for ell in range(1, verify.lstar(m, 20) + 1):
-            yield "ellm_census_bounded", (ell, m, 20)
+        yield "ellm_census_levels", (verify.lstar(m, 20), m, 20)
     for m in range(1, 21):
         yield "ellm_maximal_bounded", (verify.lstar(m, 20), m, 20)
 
 
 def golden_digests(impl):
-    return {
-        "%s%r" % (name, args): result_digest(getattr(impl, name)(*args))
-        for name, args in golden_calls()
-    }
+    """Digest per call, keyed by the call; a levels census counts as one
+    ellm_census_bounded(ell, m, dstar) call per level ell."""
+    digests = {}
+    for name, args in golden_calls():
+        result = getattr(impl, name)(*args)
+        if name == "ellm_census_levels":
+            _, m, dstar = args
+            for ell, census in enumerate(result, 1):
+                digests["ellm_census_bounded%r" % ((ell, m, dstar),)] = result_digest(census)
+        else:
+            digests["%s%r" % (name, args)] = result_digest(result)
+    return digests
 
 
 @BACKENDS

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtcat import cycles, kernels, paths, verify
+from qtcat import _kernels_py, cycles, kernels, paths, verify
 from qtcat.bijections import BoundedPartition, bounded_partitions
 from qtcat.qtpoly import QtPolynomial, bracket_run, str_run, sym
 from qtcat.verify import (
@@ -103,16 +103,16 @@ def test_check_conjecture_witness_is_smallest_bad_degree(monkeypatch):
 
 
 def test_computation2_witness_is_smallest_bad_degree(monkeypatch):
-    census = kernels.ellm_census_bounded
+    census = kernels.ellm_census_levels
 
     def perturbed(ell, m, dstar):
-        all_counts, max_counts = census(ell, m, dstar)
-        if ell == 3:
-            all_counts[(4, 3)] = all_counts.get((4, 3), 0) + 1
-            max_counts[(2, 1)] = max_counts.get((2, 1), 0) + 1
-        return all_counts, max_counts
+        levels = census(ell, m, dstar)
+        all_counts, max_counts = levels[3 - 1]
+        all_counts[(4, 3)] = all_counts.get((4, 3), 0) + 1
+        max_counts[(2, 1)] = max_counts.get((2, 1), 0) + 1
+        return levels
 
-    monkeypatch.setattr(kernels, "ellm_census_bounded", perturbed)
+    monkeypatch.setattr(kernels, "ellm_census_levels", perturbed)
     r = computation2(2, 6)
     M = paths.max_area(3, 2)
     assert not r.verdict
@@ -160,6 +160,42 @@ def census_tables(draw):
 def test_run_assembly_equals_the_sum_of_syms(table):
     max_counts, M = table
     assert verify._slices_from_census({}, max_counts, M)[1] == rhs_by_sym(max_counts, M)
+
+
+@st.composite
+def perturbed_censuses(draw):
+    """(all_counts, max_counts, M): a census of one level of
+    _kernels_py.ellm_census_levels, with counts moved at a few random keys,
+    sometimes in pairs that keep the sides equal."""
+    ell, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    dstar = draw(st.integers(0, 6))
+    level = draw(st.integers(1, ell))
+    all_counts, max_counts = (
+        dict(t) for t in _kernels_py.ellm_census_levels(ell, m, dstar)[level - 1]
+    )
+    M = paths.max_area(level, m)
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.integers(0, min(dstar, M)))
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        kind = draw(st.sampled_from(["all", "max", "both"]))
+        if kind == "both":
+            # sym(a, a) is the single term q^a t^a, one path's term on the left
+            if (M - d) % 2:
+                continue
+            a = (M - d) // 2
+        else:
+            a = draw(st.integers(0, M - d + (kind == "max")))
+        for name, table in (("all", all_counts), ("max", max_counts)):
+            if kind in (name, "both"):
+                table[d, a] = table.get((d, a), 0) + c
+    return all_counts, max_counts, M
+
+
+@given(perturbed_censuses())
+def test_first_differences_decide_equal_sides(census):
+    all_counts, max_counts, M = census
+    lhs, rhs = verify._slices_from_census(all_counts, max_counts, M)
+    assert verify._sides_agree(all_counts, max_counts, M) == (lhs == rhs)
 
 
 def test_report_json_shape():
