@@ -74,6 +74,8 @@ def _rows_to_text(rows, header, fmt):
 def cmd_enumerate(args):
     header = ["steps", "area", "degr", "dinv", "maximal"]
     rows = []
+    if args.slope and args.ellm:
+        raise UsageError("enumerate takes --slope or --ellm, not both")
     if args.slope:
         # the generator recurses and allocates once per level, like the
         # pure-Python kernels, so it is held to the kernels' limits
@@ -184,8 +186,7 @@ def cmd_verify(args):
 def cmd_basecase(args):
     if args.dstar < 0 or args.m_max < 1:
         raise UsageError("need --dstar >= 0 and --m-max >= 1")
-    report = verify.basecase(range(1, args.m_max + 1), args.dstar, jobs=args.jobs)
-    return _report_exit(report, args)
+    return _report_exit(verify.basecase(range(1, args.m_max + 1), args.dstar), args)
 
 
 def _path_line(p):
@@ -237,7 +238,7 @@ def cmd_stats(args):
         if args.slope:
             n, s = _parse_slope(args.slope)
             p = paths.parse_path_text(args.path, slope=(n, s))
-        elif args.m:
+        elif args.m is not None:
             p = paths.parse_path_text(args.path, m=args.m)
         else:
             raise UsageError("stats needs --slope or --m")
@@ -269,7 +270,10 @@ def build_parser():
         description="Rational q,t-Catalan paths, statistics, and conjecture checks",
     )
     ap.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument(
+        "--jobs", type=int, default=1,
+        help="must be >= 1; accepted, but the base case always runs in one process",
+    )
     ap.add_argument("--out", default=None)
     sub = ap.add_subparsers(dest="command", required=True)
 

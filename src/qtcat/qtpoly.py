@@ -124,19 +124,24 @@ def bracket_run(a, b):
     return QtPolynomial({(a + i, b - i): 1 for i in range(b - a + 1)})
 
 
-def sym(a, b):
-    """(q^{b+1} t^a - q^a t^{b+1}) / (q - t), by the three-branch case split.
+def sym_run(a, b):
+    """(lo, hi, sign) with sym(a, b) = sign * [lo, hi].
 
-    Equals the run [a,b] when a <= b, vanishes when a = b + 1, and is the
-    negated run -[b+1, a-1] when a > b + 1.
+    The run [a, b] when a <= b, else the negated run -[b+1, a-1], which is
+    empty when a = b + 1.
     """
+    if a <= b:
+        return a, b, 1
+    return b + 1, a - 1, -1
+
+
+def sym(a, b):
+    """(q^{b+1} t^a - q^a t^{b+1}) / (q - t), the signed run sym_run(a, b)."""
     if a < 0 or b < -1:
         raise ValueError("sym requires a >= 0 and b >= -1")
-    if a <= b:
-        return bracket_run(a, b)
-    if a == b + 1:
-        return QtPolynomial()
-    return -bracket_run(b + 1, a - 1)
+    lo, hi, sign = sym_run(a, b)
+    run = bracket_run(lo, hi)
+    return run if sign > 0 else -run
 
 
 def str_run(a, b, c):

@@ -19,7 +19,7 @@ from qtcat.bijections import (
     height_from_path,
 )
 from qtcat.paths import PositionPath, max_area, max_area_rational
-from qtcat.qtpoly import QtPolynomial
+from qtcat.qtpoly import QtPolynomial, sym_run
 
 
 @dataclass
@@ -54,57 +54,48 @@ class VerificationReport:
 def _slices_from_census(all_counts, max_counts, M):
     """Both sides, whole, from (degr, area) count tables: lhs sums
     q^area t^(M-d-area) over all paths, rhs sums sym(area, M-d-area) over
-    the maximal ones.
-
-    sym(a, b) at total degree T = a + b is a run: q^j t^(T-j) for j in a..b
-    when a <= b, nothing when a = b + 1, and minus the run over j in
-    b+1..a-1 when a > b + 1.  Each run is added straight into rhs."""
+    the maximal ones, each sym added straight into rhs as its run."""
     lhs = QtPolynomial({(a, M - d - a): c for (d, a), c in all_counts.items()})
     rhs = {}
     for (d, a), c in max_counts.items():
         T = M - d
-        b = T - a
-        if a <= b:
-            lo, hi = a, b
-        else:  # an empty run when a = b + 1
-            lo, hi, c = b + 1, a - 1, -c
+        lo, hi, sign = sym_run(a, T - a)
+        c *= sign
         for j in range(lo, hi + 1):
             key = (j, T - j)
             rhs[key] = rhs.get(key, 0) + c
     return lhs, QtPolynomial(rhs)
 
 
-def _sides_agree(all_counts, max_counts, M):
-    """Whether the two sides of _slices_from_census are equal, without
-    building them: slice d of a side is a sequence in the area j, and two
-    such sequences are equal exactly when their first differences in j are.
-    A path key (d, a) with count c steps lhs by +c at a and -c at a + 1; a
-    run over j in lo..hi with count c steps rhs by +c at lo and -c at
-    hi + 1.  steps holds lhs's steps minus rhs's, so the test costs one pass
-    over the keys, whatever the runs' lengths."""
+def _witness(all_counts, max_counts, M):
+    """None when the sides of _slices_from_census agree, else the smallest d
+    whose slices differ and slice d of lhs - rhs, without building the sides.
+
+    Slice d of a side is a sequence in the area j, equal to another exactly
+    when their first differences in j are.  A path key (d, a) with count c
+    steps lhs by +c at a and -c at a + 1; a run lo..hi steps rhs by +c at lo
+    and -c at hi + 1.  So one pass over the keys, whatever the runs' lengths,
+    gives lhs's steps minus rhs's, and slice d of lhs - rhs is their prefix
+    sums."""
     steps = {}
     for (d, a), c in all_counts.items():
         steps[d, a] = steps.get((d, a), 0) + c
         steps[d, a + 1] = steps.get((d, a + 1), 0) - c
     for (d, a), c in max_counts.items():
-        b = M - d - a
-        if a <= b:
-            lo, hi = a, b
-        else:  # an empty run when a = b + 1: the two steps cancel
-            lo, hi, c = b + 1, a - 1, -c
-        steps[d, lo] = steps.get((d, lo), 0) - c
-        steps[d, hi + 1] = steps.get((d, hi + 1), 0) + c
-    return not any(steps.values())
-
-
-def _mismatch(lhs, rhs, M):
-    """Witness for the smallest d whose slices differ: d and slice d of
-    lhs - rhs.  None when the sides agree."""
-    if lhs == rhs:
+        lo, hi, sign = sym_run(a, M - d - a)
+        steps[d, lo] = steps.get((d, lo), 0) - sign * c
+        steps[d, hi + 1] = steps.get((d, hi + 1), 0) + sign * c
+    if not any(steps.values()):
         return None
-    diff = lhs - rhs
-    d = M - max(diff.total_degrees())
-    return {"d": d, "difference": diff.slice_total_degree(M - d).to_obj()}
+    d = min(dd for (dd, _), c in steps.items() if c)
+    row = sorted(j for (dd, j), c in steps.items() if dd == d and c)
+    difference, value = [], 0
+    # the steps of a slice sum to 0, so the difference ends at the last one
+    for j, nxt in zip(row, row[1:]):
+        value += steps[d, j]
+        if value:
+            difference += ({"q": i, "t": M - d - i, "c": value} for i in range(j, nxt))
+    return {"d": d, "difference": difference}
 
 
 def _rational_census(n, s):
@@ -123,6 +114,8 @@ def catalan_slice(n, s, d):
 
 def conjecture_rhs_slice(n, s, d):
     """Sum of sym(area, M-d-area) over the maximal degree-d paths."""
+    if d < 0:
+        raise ValueError("d must be >= 0")
     all_counts, max_counts, M = _rational_census(n, s)
     return _slices_from_census(all_counts, max_counts, M)[1].slice_total_degree(M - d)
 
@@ -137,7 +130,7 @@ def check_conjecture(n, s):
     t0 = time.perf_counter()
     all_counts, max_counts, M = _rational_census(n, s)
     lhs, rhs = _slices_from_census(all_counts, max_counts, M)
-    witness = _mismatch(lhs, rhs, M)
+    witness = _witness(all_counts, max_counts, M)
     return VerificationReport(
         params={"n": n, "s": s},
         verdict=witness is None,
@@ -193,8 +186,8 @@ def computation1(m, dstar):
 def computation2(m, dstar):
     """Slice identity for every ell <= lstar(m, dstar) and every d <= dstar.
 
-    One walk at lstar counts every level; the sides are assembled only at
-    the first ell where they differ, for the witness."""
+    One walk at lstar counts every level, and _witness compares each
+    level's sides without assembling them."""
     t0 = time.perf_counter()
     witness = None
     paths = maximal = 0
@@ -202,9 +195,8 @@ def computation2(m, dstar):
     for ell, (all_counts, max_counts) in enumerate(levels, 1):
         paths += sum(all_counts.values())
         maximal += sum(max_counts.values())
-        M = max_area(ell, m)
-        if not _sides_agree(all_counts, max_counts, M):
-            bad = _mismatch(*_slices_from_census(all_counts, max_counts, M), M)
+        bad = _witness(all_counts, max_counts, max_area(ell, m))
+        if bad is not None:
             witness = {"ell": ell, **bad}
             break
     return VerificationReport(
@@ -219,7 +211,7 @@ def computation2(m, dstar):
     )
 
 
-def basecase(m_values, dstar, jobs=1):
+def basecase(m_values, dstar):
     """computations 1 and 2 across a range of m; overall report."""
     # every walk fits the kernels before the first one runs: the largest for
     # each m is at ell = lstar, and the largest m goes first, so a range far
@@ -227,15 +219,8 @@ def basecase(m_values, dstar, jobs=1):
     for m in reversed(m_values):
         kernels.check_ellm(lstar(m, dstar), m, dstar)
     m_values = list(m_values)
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            r1 = pool.starmap(computation1, [(m, dstar) for m in m_values])
-            r2 = pool.starmap(computation2, [(m, dstar) for m in m_values])
-    else:
-        r1 = [computation1(m, dstar) for m in m_values]
-        r2 = [computation2(m, dstar) for m in m_values]
+    r1 = [computation1(m, dstar) for m in m_values]
+    r2 = [computation2(m, dstar) for m in m_values]
     verdict = all(r.verdict for r in r1 + r2)
     witness = None
     for r in r1 + r2:

@@ -13,11 +13,12 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
 
-from qtcat import _kernels_py
+from qtcat import _kernels_py, kernels
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,3 +60,33 @@ def impl(request):
     if request.param == "python":
         return _kernels_py
     return request.getfixturevalue("speedups")
+
+
+@pytest.fixture(scope="session")
+def census_17_12():
+    """The pure-Python census of slope 17/12 and the seconds it took, walked
+    once per session: it is the slowest walk of the suite on that backend,
+    and more than one test checks the verify path on it."""
+    t0 = time.perf_counter()
+    census = _kernels_py.rational_census(17, 12)
+    return census, time.perf_counter() - t0
+
+
+@pytest.fixture
+def kernels_on_impl(impl, monkeypatch, request):
+    """qtcat.kernels switched to impl for one test, the pure-Python 17/12
+    census served from census_17_12.  Returns the seconds of census work
+    done before the test: census_17_12's on Python, 0.0 on C."""
+    monkeypatch.setattr(kernels, "_impl", impl)
+    if impl is not _kernels_py:
+        return 0.0
+    (all_counts, max_counts), seconds = request.getfixturevalue("census_17_12")
+    walk = impl.rational_census
+
+    def rational_census(n, s):
+        if (n, s) == (17, 12):
+            return dict(all_counts), dict(max_counts)
+        return walk(n, s)
+
+    monkeypatch.setattr(impl, "rational_census", rational_census)
+    return seconds

@@ -71,6 +71,12 @@ def test_enumerate_ellm_matches_pinned_output(capsys, monkeypatch, impl, argv, n
     assert out == (DATA / name).read_bytes().decode()
 
 
+def test_enumerate_slope_and_ellm_exits_2(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--slope", "5/3", "--ellm", "2,2")
+    assert (code, out) == (2, "")
+    assert "not both" in err
+
+
 def test_enumerate_non_coprime_exits_2(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--slope", "6/3")
     assert code == 2
@@ -123,14 +129,15 @@ def test_verify_json(capsys):
 
 
 def _failing_report(lhs):
-    # no slope is known to fail, so made-up sides stand in for a failing check
+    # no slope is known to fail, so made-up sides stand in for a failing check;
+    # every term has total degree M = 2, so the sides differ at d = 0 only
     rhs = QtPolynomial({(0, 2): 1, (1, 1): 1})
     return verify.VerificationReport(
         params={"n": 3, "s": 2},
         verdict=False,
         lhs=lhs,
         rhs=rhs,
-        witness=verify._mismatch(lhs, rhs, 2),
+        witness={"d": 0, "difference": (lhs - rhs).to_obj()},
         counts={"paths": 3, "runtime": 0.25},
     )
 
@@ -167,8 +174,7 @@ VERIFY_17_12_JSON_SHA256 = "3e5a1c5106fb8eac399b0e1180e3a9a3443e1caacb6e4d0674bb
 
 
 @pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
-def test_verify_17_12_json_matches_golden_digest(capsys, monkeypatch, impl):
-    monkeypatch.setattr(kernels, "_impl", impl)
+def test_verify_17_12_json_matches_golden_digest(capsys, monkeypatch, kernels_on_impl):
     monkeypatch.setattr(verify.time, "perf_counter", lambda: 0.0)
     code, out, err = run_cli(capsys, "--format", "json", "verify", "--slope", "17/12")
     assert (code, err) == (0, "")
@@ -246,6 +252,12 @@ def test_stats_rational(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["area"] == 0 and obj["M"] == 20
+
+
+def test_stats_m_zero_exits_2_on_the_path_rule(capsys):
+    code, out, err = run_cli(capsys, "stats", "--path", "1,2", "--m", "0")
+    assert (code, out) == (2, "")
+    assert "m >= 1" in err
 
 
 def test_stats_invalid_path(capsys):

@@ -1,7 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtcat.qtpoly import QtPolynomial, bracket_run, monomial, str_run, sym
+from qtcat.qtpoly import QtPolynomial, bracket_run, monomial, str_run, sym, sym_run
 
 
 def poly_of(pairs):
@@ -26,6 +26,19 @@ def test_sym_branches():
     assert sym(13, 10) == -poly_of([(11, 12), (12, 11)])
     assert sym(0, 0) == monomial(0, 0)
     assert sym(3, 7) == bracket_run(3, 7)
+
+
+def test_sym_is_its_signed_run():
+    # a <= b, a = b + 1 and a > b + 1 all occur; (q - t) times the signed run
+    # must be the numerator q^(b+1) t^a - q^a t^(b+1)
+    for a in range(7):
+        for b in range(-1, 7):
+            lo, hi, sign = sym_run(a, b)
+            run = QtPolynomial({k: sign * c for k, c in bracket_run(lo, hi).terms()})
+            assert sym(a, b) == run, (a, b)
+            q_run = QtPolynomial({(i + 1, j): c for (i, j), c in run.terms()})
+            t_run = QtPolynomial({(i, j + 1): c for (i, j), c in run.terms()})
+            assert q_run - t_run == monomial(b + 1, a) - monomial(a, b + 1), (a, b)
 
 
 def test_str_run():

@@ -65,6 +65,12 @@ def test_full_polynomial_5_3():
     assert catalan_slice(5, 3, 99).is_zero()
 
 
+def test_slices_reject_negative_degree():
+    for fn in (catalan_slice, conjecture_rhs_slice):
+        with pytest.raises(ValueError):
+            fn(5, 3, -1)
+
+
 def test_rhs_5_3():
     acc = QtPolynomial()
     for d in range(0, 5):
@@ -191,11 +197,22 @@ def perturbed_censuses(draw):
     return all_counts, max_counts, M
 
 
+def mismatch(lhs, rhs, M):
+    """The witness by polynomial subtraction, for the smallest d whose slices
+    differ: d and slice d of lhs - rhs, or None when the sides agree.  The
+    definition that _witness's first differences replace."""
+    if lhs == rhs:
+        return None
+    diff = lhs - rhs
+    d = M - max(diff.total_degrees())
+    return {"d": d, "difference": diff.slice_total_degree(M - d).to_obj()}
+
+
 @given(perturbed_censuses())
-def test_first_differences_decide_equal_sides(census):
+def test_witness_equals_the_polynomial_difference(census):
     all_counts, max_counts, M = census
     lhs, rhs = verify._slices_from_census(all_counts, max_counts, M)
-    assert verify._sides_agree(all_counts, max_counts, M) == (lhs == rhs)
+    assert verify._witness(all_counts, max_counts, M) == mismatch(lhs, rhs, M)
 
 
 def test_report_json_shape():
