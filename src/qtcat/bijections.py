@@ -8,9 +8,7 @@ indexes the maximal paths of each degree below (ell-1)m by partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from qtcat.paths import PositionPath, degr_alpha, is_maximal
+from qtcat.paths import PositionPath, Record, degr_alpha, is_maximal
 
 STAR = None  # internal marker for the * entries
 
@@ -19,22 +17,22 @@ STAR = None  # internal marker for the * entries
 # bounded partitions
 
 
-@dataclass(frozen=True)
-class BoundedPartition:
+class BoundedPartition(Record):
     """Weakly decreasing positive parts, each at most `bound`."""
 
-    parts: tuple
-    bound: int
+    __slots__ = ("parts", "bound")
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(x) for x in self.parts))
-        if self.bound < 0:
+    def __init__(self, parts: tuple, bound: int):
+        parts = tuple(int(x) for x in parts)
+        if bound < 0:
             raise ValueError("bound must be >= 0")
-        prev = self.bound
-        for x in self.parts:
+        prev = bound
+        for x in parts:
             if x < 1 or x > prev:
                 raise ValueError("parts must be weakly decreasing in [1, bound]")
             prev = x
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "bound", bound)
 
     def size(self):
         return sum(self.parts)
@@ -103,18 +101,14 @@ def size(lam: BoundedPartition):
 # {0,1,*} matrices
 
 
-@dataclass(frozen=True)
-class ZeroOneMatrix:
+class ZeroOneMatrix(Record):
     """m x ell matrix over {0, 1, *}; * is stored as None."""
 
-    m: int
-    ell: int
-    entries: tuple  # tuple of row tuples
+    __slots__ = ("m", "ell", "entries")  # entries: tuple of row tuples
 
-    def __post_init__(self):
-        ent = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", ent)
-        if len(ent) != self.m or any(len(r) != self.ell for r in ent):
+    def __init__(self, m: int, ell: int, entries: tuple):
+        ent = tuple(tuple(row) for row in entries)
+        if len(ent) != m or any(len(r) != ell for r in ent):
             raise ValueError("entry grid must be m x ell")
         flat = [v for row in ent for v in row]
         if any(v not in (0, 1, STAR) for v in flat):
@@ -129,10 +123,13 @@ class ZeroOneMatrix:
             if nonstar[-1] != 1:
                 raise ValueError("last non-* entry must be 1")
         # no 0 directly above a 1
-        for i in range(self.m - 1):
-            for j in range(self.ell):
+        for i in range(m - 1):
+            for j in range(ell):
                 if ent[i][j] == 0 and ent[i + 1][j] == 1:
                     raise ValueError("no 0 may sit directly above a 1")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "entries", ent)
 
     def to_text(self):
         return "\n".join(
@@ -373,12 +370,16 @@ def enumerate_matrices(m, ell, max_contacts=None):
 
 
 def height_from_path(p: PositionPath):
-    """Height of the indexing partition, read off the maximal path directly.
+    """Height of the indexing partition, read off the maximal path directly."""
+    return height_from_positions(p.positions)
+
+
+def height_from_positions(a):
+    """height_from_path on the position tuple a_0..a_ell, unchecked.
 
     With g = max position and j the last index attaining it:
     (g - 1) * ell + j - sum(positions).
     """
-    a = p.positions
     ell = len(a) - 1
     greatest = max(a)
     j = max(i for i, v in enumerate(a) if v == greatest)

@@ -9,8 +9,6 @@ error is raised with its traceback.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import io
 import json
 import sys
@@ -55,16 +53,22 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+def _csv_text(header, rows):
+    """The header and each row, a list of fields, as CSV."""
+    import csv  # only --format csv needs it, so it stays off the start-up path
+
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 def _rows_to_text(rows, header, fmt):
     if fmt == "json":
         return json.dumps(rows, indent=None) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(header)
-        for r in rows:
-            w.writerow([r[k] for k in header])
-        return buf.getvalue()
+        return _csv_text(header, ([r[k] for k in header] for r in rows))
     lines = ["\t".join(header)]
     for r in rows:
         lines.append("\t".join(str(r[k]) for k in header))
@@ -112,12 +116,7 @@ def _poly_text(poly, fmt):
     if fmt == "json":
         return json.dumps(poly.to_obj()) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["q", "t", "c"])
-        for (a, b), c in poly.terms():
-            w.writerow([a, b, c])
-        return buf.getvalue()
+        return _csv_text(["q", "t", "c"], ([a, b, c] for (a, b), c in poly.terms()))
     return str(poly) + "\n"
 
 
@@ -152,7 +151,9 @@ def _report_json(report):
     every other field still goes through json.dumps, one level deeper by two
     more spaces after each newline (json escapes the newlines in strings)."""
     sides = {"lhs": _side_json(report.lhs), "rhs": _side_json(report.rhs)}
-    obj = dataclasses.replace(report, lhs=None, rhs=None).to_obj()
+    obj = verify.VerificationReport(
+        report.params, report.verdict, None, None, report.witness, report.counts
+    ).to_obj()
     fields = ",\n".join(
         "  %s: %s" % (
             json.dumps(k),

@@ -8,9 +8,7 @@ produces the path's string; iterating left classifies a path as connected
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from qtcat.paths import PositionPath, max_area
+from qtcat.paths import PositionPath, Record, max_area
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +153,14 @@ def is_connected(p: PositionPath) -> bool:
 # strings
 
 
-@dataclass(frozen=True)
-class PathString:
+class PathString(Record):
     """The right-orbit of a maximal path, indexed by its partition."""
 
-    source: object  # BoundedPartition
-    elements: tuple  # of PositionPath
+    __slots__ = ("source", "elements")  # a BoundedPartition, PositionPaths
+
+    def __init__(self, source, elements: tuple):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "elements", elements)
 
     def areas(self):
         from qtcat.paths import area

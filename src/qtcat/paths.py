@@ -16,86 +16,123 @@ test suite checks that exhaustively at small scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """Base of qtcat's frozen value types.
+
+    A subclass names its fields, in order, in __slots__, and its __init__
+    sets them through object.__setattr__ once it has checked them.  A record
+    equals another of the same class with equal fields, hashes as the tuple
+    of its fields, prints as Name(field=value, ...), refuses assignment, and
+    copies and pickles by calling its class with its fields.
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 # ---------------------------------------------------------------------------
 # path types
 
 
-@dataclass(frozen=True)
-class EllMPath:
+class EllMPath(Record):
     """Path with steps x_0..x_ell, parameters (ell, m)."""
 
-    ell: int
-    m: int
-    steps: tuple
+    __slots__ = ("ell", "m", "steps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(int(x) for x in self.steps))
-        if self.ell < 1 or self.m < 1:
+    def __init__(self, ell: int, m: int, steps: tuple):
+        steps = tuple(int(x) for x in steps)
+        if ell < 1 or m < 1:
             raise ValueError("need ell >= 1 and m >= 1")
-        if len(self.steps) != self.ell + 1:
-            raise ValueError("expected %d steps, got %d" % (self.ell + 1, len(self.steps)))
+        if len(steps) != ell + 1:
+            raise ValueError("expected %d steps, got %d" % (ell + 1, len(steps)))
         s = 0
-        for i, x in enumerate(self.steps):
+        for i, x in enumerate(steps):
             if x < 0:
                 raise ValueError("negative step coordinate")
             s += x
-            if i < self.ell and s > self.m * (i + 1):
+            if i < ell and s > m * (i + 1):
                 raise ValueError("prefix sum exceeds m(i+1) at i=%d" % i)
-        if s != self.m * (self.ell + 1):
+        if s != m * (ell + 1):
             raise ValueError("steps must sum to m(ell+1)")
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class PositionPath:
+class PositionPath(Record):
     """Path recorded by positions a_0..a_ell below the diagonal."""
 
-    m: int
-    positions: tuple
+    __slots__ = ("m", "positions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(int(a) for a in self.positions))
-        if self.m < 1:
+    def __init__(self, m: int, positions: tuple):
+        a = tuple(int(v) for v in positions)
+        if m < 1:
             raise ValueError("need m >= 1")
-        a = self.positions
         if len(a) < 2:
             raise ValueError("need at least positions a_0, a_1")
         if a[0] != 0:
             raise ValueError("a_0 must be 0")
         for i in range(len(a) - 1):
-            if a[i] < 0 or a[i] - a[i + 1] < -self.m:
+            if a[i] < 0 or a[i] - a[i + 1] < -m:
                 raise ValueError("positions must be nonnegative with a_i - a_{i+1} >= -m")
         if a[-1] < 0:
             raise ValueError("positions must be nonnegative")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "positions", a)
 
     @property
     def ell(self):
         return len(self.positions) - 1
 
 
-@dataclass(frozen=True)
-class RationalDyckPath:
+class RationalDyckPath(Record):
     """Path of slope num/den (den = ell + 1), steps x_0..x_ell."""
 
-    num: int
-    den: int
-    steps: tuple
+    __slots__ = ("num", "den", "steps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(int(x) for x in self.steps))
-        n, s = self.num, self.den
+    def __init__(self, num: int, den: int, steps: tuple):
+        steps = tuple(int(x) for x in steps)
+        n, s = num, den
         if n < 1 or s < 1:
             raise ValueError("need positive slope parameters")
         if gcd(n, s) != 1:
             raise ValueError("slope %d/%d is not coprime" % (n, s))
-        if len(self.steps) != s:
-            raise ValueError("expected %d steps, got %d" % (s, len(self.steps)))
+        if len(steps) != s:
+            raise ValueError("expected %d steps, got %d" % (s, len(steps)))
         acc = 0
-        for i, x in enumerate(self.steps):
+        for i, x in enumerate(steps):
             if x < 0:
                 raise ValueError("negative step coordinate")
             acc += x
@@ -103,22 +140,25 @@ class RationalDyckPath:
                 raise ValueError("prefix sum not strictly below the diagonal at i=%d" % i)
         if acc != n:
             raise ValueError("steps must sum to n")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def ell(self):
         return self.den - 1
 
 
-@dataclass(frozen=True)
-class StatReport:
-    area: int
-    degr: int
-    dinv: int
-    M: int
+class StatReport(Record):
+    __slots__ = ("area", "degr", "dinv", "M")
 
-    def __post_init__(self):
-        if self.area + self.degr + self.dinv != self.M:
+    def __init__(self, area: int, degr: int, dinv: int, M: int):
+        if area + degr + dinv != M:
             raise ValueError("area + degr + dinv must equal M")
+        object.__setattr__(self, "area", area)
+        object.__setattr__(self, "degr", degr)
+        object.__setattr__(self, "dinv", dinv)
+        object.__setattr__(self, "M", M)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +356,11 @@ def stats(p) -> StatReport:
 # maximality
 
 
-def under(p: RationalDyckPath) -> Fraction:
-    """Minimal gap n(i+1)/s - (x_0 + ... + x_i) over 0 <= i < ell."""
+def under(p: RationalDyckPath):
+    """Minimal gap n(i+1)/s - (x_0 + ... + x_i) over 0 <= i < ell, as a
+    Fraction."""
+    from fractions import Fraction
+
     n, s = p.num, p.den
     acc = 0
     best = None
@@ -336,9 +379,15 @@ def is_maximal(p) -> bool:
     if isinstance(p, EllMPath):
         return p.steps[0] == p.m
     if isinstance(p, RationalDyckPath):
-        if p.den == 1:
-            return True
-        return under(p) == Fraction(1, p.den)
+        # under(p) == 1/s, scaled by s: the least n(i+1) - s(x_0 + ... + x_i)
+        # over 0 <= i < ell is 1
+        n, s = p.num, p.den
+        acc = 0
+        slack = []
+        for i in range(s - 1):
+            acc += p.steps[i]
+            slack.append(n * (i + 1) - s * acc)
+        return min(slack, default=1) == 1
     raise TypeError("unsupported path type: %r" % type(p))
 
 

@@ -8,7 +8,6 @@ or carries a concrete counterexample witness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from qtcat import cycles, kernels
 from qtcat.bijections import (
@@ -16,22 +15,34 @@ from qtcat.bijections import (
     bounded_partitions,
     f,
     g,
-    height_from_path,
+    height_from_positions,
 )
-from qtcat.paths import PositionPath, max_area, max_area_rational
+from qtcat.paths import PositionPath, Record, max_area, max_area_rational
 from qtcat.qtpoly import QtPolynomial, sym_run
 
 
-@dataclass
-class VerificationReport:
-    params: dict
-    verdict: bool
-    lhs: QtPolynomial | None = None
-    rhs: QtPolynomial | None = None
-    witness: object = None
-    counts: dict = field(default_factory=dict)
-    # what the check built, for the command line to print; to_obj leaves it out
-    detail: dict = field(default_factory=dict)
+class VerificationReport(Record):
+    # detail holds what the check built, for the command line to print;
+    # to_obj leaves it out
+    __slots__ = ("params", "verdict", "lhs", "rhs", "witness", "counts", "detail")
+
+    def __init__(
+        self,
+        params: dict,
+        verdict: bool,
+        lhs: QtPolynomial | None = None,
+        rhs: QtPolynomial | None = None,
+        witness: object = None,
+        counts: dict | None = None,
+        detail: dict | None = None,
+    ):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "counts", {} if counts is None else counts)
+        object.__setattr__(self, "detail", {} if detail is None else detail)
 
     def to_obj(self):
         return {
@@ -51,11 +62,15 @@ class VerificationReport:
 # side is its slice_total_degree(M - d).
 
 
-def _slices_from_census(all_counts, max_counts, M):
-    """Both sides, whole, from (degr, area) count tables: lhs sums
-    q^area t^(M-d-area) over all paths, rhs sums sym(area, M-d-area) over
-    the maximal ones, each sym added straight into rhs as its run."""
-    lhs = QtPolynomial({(a, M - d - a): c for (d, a), c in all_counts.items()})
+def _lhs_from_census(all_counts, M):
+    """The left side, whole, from a (degr, area) count table: the sum of
+    q^area t^(M-d-area) over all paths."""
+    return QtPolynomial({(a, M - d - a): c for (d, a), c in all_counts.items()})
+
+
+def _rhs_from_census(max_counts, M):
+    """The right side, whole, from the maximal paths' count table: the sum
+    of sym(area, M-d-area), each sym added straight into rhs as its run."""
     rhs = {}
     for (d, a), c in max_counts.items():
         T = M - d
@@ -64,7 +79,12 @@ def _slices_from_census(all_counts, max_counts, M):
         for j in range(lo, hi + 1):
             key = (j, T - j)
             rhs[key] = rhs.get(key, 0) + c
-    return lhs, QtPolynomial(rhs)
+    return QtPolynomial(rhs)
+
+
+def _slices_from_census(all_counts, max_counts, M):
+    """Both sides, whole, from (degr, area) count tables."""
+    return _lhs_from_census(all_counts, M), _rhs_from_census(max_counts, M)
 
 
 def _witness(all_counts, max_counts, M):
@@ -108,21 +128,22 @@ def catalan_slice(n, s, d):
     """Sum of q^area t^(M-d-area) over the degree-d paths of slope n/s."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    all_counts, max_counts, M = _rational_census(n, s)
-    return _slices_from_census(all_counts, max_counts, M)[0].slice_total_degree(M - d)
+    all_counts, _, M = _rational_census(n, s)
+    return _lhs_from_census(all_counts, M).slice_total_degree(M - d)
 
 
 def conjecture_rhs_slice(n, s, d):
     """Sum of sym(area, M-d-area) over the maximal degree-d paths."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    all_counts, max_counts, M = _rational_census(n, s)
-    return _slices_from_census(all_counts, max_counts, M)[1].slice_total_degree(M - d)
+    _, max_counts, M = _rational_census(n, s)
+    return _rhs_from_census(max_counts, M).slice_total_degree(M - d)
 
 
 def catalan_poly(n, s):
     """The full polynomial: sum of q^area t^dinv over all paths."""
-    return _slices_from_census(*_rational_census(n, s))[0]
+    all_counts, _, M = _rational_census(n, s)
+    return _lhs_from_census(all_counts, M)
 
 
 def check_conjecture(n, s):
@@ -167,7 +188,7 @@ def computation1(m, dstar):
     witness = None
     for d, a in kernels.ellm_maximal_bounded(ell, m, dstar):
         checked += 1
-        h = height_from_path(PositionPath(m, a))
+        h = height_from_positions(a)
         low = kernels.lowest_tuple(a, m)
         if sum(low) > M - h - d:
             witness = {"positions": list(a), "degr": d, "lowest_area": sum(low)}

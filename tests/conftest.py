@@ -14,6 +14,7 @@ import subprocess
 import sys
 import sysconfig
 import time
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -64,29 +65,58 @@ def impl(request):
 
 @pytest.fixture(scope="session")
 def census_17_12():
-    """The pure-Python census of slope 17/12 and the seconds it took, walked
-    once per session: it is the slowest walk of the suite on that backend,
-    and more than one test checks the verify path on it."""
+    """The pure-Python census of slope 17/12, keyed by (17, 12), and the
+    seconds it took, walked once per session: it is the slowest walk of the
+    suite on that backend, and more than one test checks the verify path on
+    it."""
     t0 = time.perf_counter()
-    census = _kernels_py.rational_census(17, 12)
-    return census, time.perf_counter() - t0
+    tables = {(17, 12): _kernels_py.rational_census(17, 12)}
+    return tables, time.perf_counter() - t0
 
 
-@pytest.fixture
-def kernels_on_impl(impl, monkeypatch, request):
-    """qtcat.kernels switched to impl for one test, the pure-Python 17/12
-    census served from census_17_12.  Returns the seconds of census work
-    done before the test: census_17_12's on Python, 0.0 on C."""
+@pytest.fixture(scope="session")
+def sweep_census():
+    """The pure-Python censuses of the 449 slopes n/s with n*s <= 120, keyed
+    by (n, s), and the seconds they took, walked once per session for the
+    tests that check the conjecture sweep and the census tables on them."""
+    t0 = time.perf_counter()
+    tables = {
+        (n, s): _kernels_py.rational_census(n, s)
+        for n in range(1, 121)
+        for s in range(1, 121)
+        if n * s <= 120 and gcd(n, s) == 1
+    }
+    return tables, time.perf_counter() - t0
+
+
+def _kernels_serving(impl, monkeypatch, request, census):
+    """qtcat.kernels switched to impl for one test; on Python, the slopes of
+    the session fixture named census are answered from its tables, each call
+    with fresh dicts.  Returns the seconds of census work done before the
+    test: that fixture's on Python, 0.0 on C."""
     monkeypatch.setattr(kernels, "_impl", impl)
     if impl is not _kernels_py:
         return 0.0
-    (all_counts, max_counts), seconds = request.getfixturevalue("census_17_12")
+    tables, seconds = request.getfixturevalue(census)
     walk = impl.rational_census
 
     def rational_census(n, s):
-        if (n, s) == (17, 12):
+        if (n, s) in tables:
+            all_counts, max_counts = tables[n, s]
             return dict(all_counts), dict(max_counts)
         return walk(n, s)
 
     monkeypatch.setattr(impl, "rational_census", rational_census)
     return seconds
+
+
+@pytest.fixture
+def kernels_on_impl(impl, monkeypatch, request):
+    """_kernels_serving with census_17_12."""
+    return _kernels_serving(impl, monkeypatch, request, "census_17_12")
+
+
+@pytest.fixture
+def sweep_on_impl(impl, monkeypatch, request):
+    """_kernels_serving with sweep_census."""
+    return _kernels_serving(impl, monkeypatch, request, "sweep_census")

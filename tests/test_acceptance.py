@@ -108,8 +108,7 @@ def test_criterion_3_verify_17_12(kernels_on_impl):
 
 
 @pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
-def test_criterion_4_conjecture_sweep(impl, monkeypatch):
-    monkeypatch.setattr(kernels, "_impl", impl)
+def test_criterion_4_conjecture_sweep(sweep_on_impl):
     t0 = time.perf_counter()
     pairs = [
         (n, s)
@@ -120,7 +119,8 @@ def test_criterion_4_conjecture_sweep(impl, monkeypatch):
     for n, s in pairs:
         r = verify.check_conjecture(n, s)
         assert r.verdict, (n, s, r.witness)
-    assert time.perf_counter() - t0 < 600.0
+    # the censuses walked before the test count against the bound
+    assert time.perf_counter() - t0 + sweep_on_impl < 600.0
     report(4, "conjecture sweep n*s <= 120 (%d slopes)" % len(pairs))
 
 

@@ -13,6 +13,7 @@ from qtcat.bijections import (
     g_inv,
     height,
     height_from_path,
+    height_from_positions,
     hook_rows,
     iota,
     ones,
@@ -272,3 +273,4 @@ def test_height_from_path_matches_bijections():
                 p = f(g(lam, m))
                 assert height_from_path(p) == height(lam)
                 assert height_from_path(p) == height(g_inv(f_inv(p)))
+                assert height_from_positions(p.positions) == height(lam)

@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -185,6 +186,24 @@ def test_under_and_maximal():
     assert count == 2
     assert is_maximal(staircase(3, 4))
     assert not is_maximal(EllMPath(2, 2, (0, 2, 4)))
+
+
+def test_is_maximal_matches_under_reference():
+    # is_maximal tests the least gap in integers; the reference is the
+    # definition with exact fractions, under(p) == 1/s (every path of slope
+    # n/1 is maximal)
+    from fractions import Fraction
+
+    checked = 0
+    for n in range(1, 61):
+        for s in range(1, 61):
+            if n * s > 60 or gcd(n, s) != 1:
+                continue
+            for p in enumerate_rational(n, s):
+                want = s == 1 or under(p) == Fraction(1, s)
+                assert is_maximal(p) == want, (n, s, p.steps)
+                checked += 1
+    assert checked == 5355
 
 
 # ---------------------------------------------------------------------------
