@@ -18,6 +18,7 @@ from __future__ import annotations
 from math import gcd
 
 from qtcat.cycles import lowest_tuple  # noqa: F401 - the fifth kernel
+from qtcat.paths import alpha
 
 BACKEND = "python"
 
@@ -81,14 +82,6 @@ def rational_census(n, s):
     return all_counts, max_counts
 
 
-def _alpha(a, b, m):
-    if a <= b:
-        d = b - a
-    else:
-        d = a - b - 1
-    return d if d < m else m
-
-
 def _ellm_walk(ell, m, a1, dstar, visit, first):
     """Call visit(i, degr, area, a) on each (i, m)-path with degr <= dstar,
     for every level i from first to ell.
@@ -109,7 +102,7 @@ def _ellm_walk(ell, m, a1, dstar, visit, first):
         for v in range(top, -1, -1):
             dd = d - max(0, v - m)
             for k in range(1, i):
-                dd += _alpha(a[k], v, m)
+                dd += alpha(a[k], v, m)
             if dd <= dstar:
                 a[i] = v
                 if i >= first:

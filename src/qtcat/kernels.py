@@ -42,7 +42,10 @@ MAX_KEYS = 2**20
 
 
 class InputError(ValueError):
-    """An input the kernels reject: not a path universe, or past their limits."""
+    """The one error for an input that breaks a rule of the library: not a
+    path universe, past the kernels' limits, or outside the range a check in
+    qtcat.verify is defined on.  The kernels and qtcat.verify raise it where
+    each rule lives, before any walk; the command line exits 2 on it."""
 
 
 def check_slope(n, s):
@@ -65,10 +68,12 @@ def check_slope(n, s):
 
 def check_ellm(ell, m, dstar):
     """Raise InputError unless the kernels can walk (ell, m) up to dstar."""
-    if ell < 1 or m < 1:
-        raise InputError("ell and m must be positive")
+    # dstar first: verify.basecase derives ell from dstar, so a negative
+    # dstar is named before the ell it made negative
     if not 0 <= dstar < 2**63:
         raise InputError("dstar must be >= 0 and < 2**63")
+    if ell < 1 or m < 1:
+        raise InputError("ell and m must be positive")
     if (m * (ell + 1) + 1) * (ell + 1) >= LIMIT or ell + 1 > MAX_DEPTH:
         raise InputError(
             "(ell, m) = (%d, %d) is too large: need (m(ell+1)+1)(ell+1) < 2**31 "

@@ -126,7 +126,7 @@ class RationalDyckPath(Record):
         steps = tuple(int(x) for x in steps)
         n, s = num, den
         if n < 1 or s < 1:
-            raise ValueError("need positive slope parameters")
+            raise ValueError("slope parameters must be positive")
         if gcd(n, s) != 1:
             raise ValueError("slope %d/%d is not coprime" % (n, s))
         if len(steps) != s:
@@ -279,10 +279,13 @@ def degr_epsilon(p: EllMPath):
 
 def alpha(a, b, m):
     """Pairwise position contribution: min(b-a, m) when a <= b, else
-    min(a-b-1, m)."""
+    min(a-b-1, m).  Branches, not min(), since the pure-Python kernel's walk
+    calls it at every node."""
     if a <= b:
-        return min(b - a, m)
-    return min(a - b - 1, m)
+        d = b - a
+    else:
+        d = a - b - 1
+    return d if d < m else m
 
 
 def alpha0(a, m):
@@ -333,13 +336,7 @@ def degr(p):
 
 def dinv(p):
     """dinv = M - area - degr."""
-    if isinstance(p, (EllMPath, PositionPath)):
-        m = p.m
-        ell = p.ell
-        M = max_area(ell, m)
-    else:
-        M = max_area_rational(p.num, p.den)
-    return M - area(p) - degr(p)
+    return stats(p).dinv
 
 
 def stats(p) -> StatReport:

@@ -127,7 +127,7 @@ def _rational_census(n, s):
 def catalan_slice(n, s, d):
     """Sum of q^area t^(M-d-area) over the degree-d paths of slope n/s."""
     if d < 0:
-        raise ValueError("d must be >= 0")
+        raise kernels.InputError("d must be >= 0")
     all_counts, _, M = _rational_census(n, s)
     return _lhs_from_census(all_counts, M).slice_total_degree(M - d)
 
@@ -135,7 +135,7 @@ def catalan_slice(n, s, d):
 def conjecture_rhs_slice(n, s, d):
     """Sum of sym(area, M-d-area) over the maximal degree-d paths."""
     if d < 0:
-        raise ValueError("d must be >= 0")
+        raise kernels.InputError("d must be >= 0")
     _, max_counts, M = _rational_census(n, s)
     return _rhs_from_census(max_counts, M).slice_total_degree(M - d)
 
@@ -234,6 +234,8 @@ def computation2(m, dstar):
 
 def basecase(m_values, dstar):
     """computations 1 and 2 across a range of m; overall report."""
+    if not m_values:
+        raise kernels.InputError("need at least one m")
     # every walk fits the kernels before the first one runs: the largest for
     # each m is at ell = lstar, and the largest m goes first, so a range far
     # past the kernels' limits fails at once
@@ -271,8 +273,8 @@ def verify_string_partition(ell, m, d):
     orbit share its verdict, so each orbit is walked only up to the first
     tuple an earlier orbit decided.
     """
-    if d >= (ell - 1) * m:
-        raise ValueError("need d < (ell-1)m")
+    if not 0 <= d < (ell - 1) * m:
+        raise kernels.InputError("need 0 <= d < (ell-1)m")
     t0 = time.perf_counter()
     connected = set()
     disconnected = []
@@ -330,7 +332,7 @@ def verify_projection(lam: BoundedPartition, m):
     """
     ell = lam.bound + 1
     if lam.size() >= (ell - 2) * m:
-        raise ValueError("need |lam| < (ell-2)m")
+        raise kernels.InputError("need |lam| < (ell-2)m")
     ps = lam.multiplicities()
     p0 = ps[0]
     mu = BoundedPartition.from_multiplicities(ps[1:])

@@ -338,6 +338,49 @@ def test_input_beyond_kernel_limits_exits_2(capsys, argv):
     assert err.startswith("error: ") and ("too large" in err or "2**63" in err)
 
 
+# numeric rules the command line leaves to the library: the kernels' slope
+# and (ell, m) checks and qtcat.verify's degree, m-range and size checks
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--slope", "6/3"],
+        ["poly", "--slope", "0/1"],
+        ["verify", "--slope", "4/2"],
+        ["poly", "--slope", "5/3", "--d", "-1"],
+        ["enumerate", "--ellm", "0,3"],
+        ["strings", "--ellm", "4,3", "--d", "9"],
+        ["strings", "--ellm", "4,3", "--d", "-1"],
+        ["basecase", "--dstar", "-1"],
+        ["basecase", "--m-max", "0"],
+        ["projection", "--partition", "3,3", "--ell", "4", "--m", "3"],
+    ],
+    ids=[
+        "enumerate-not-coprime", "poly-slope-zero", "verify-not-coprime",
+        "poly-d-negative", "enumerate-ell-zero", "strings-d-too-large",
+        "strings-d-negative", "basecase-dstar-negative", "basecase-no-m",
+        "projection-too-large",
+    ],
+)
+def test_input_rules_owned_by_the_library_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_out_into_missing_directory_exits_2_before_any_walk(tmp_path, capsys, monkeypatch):
+    def walk(n, s):
+        raise AssertionError("verify ran for %d/%d" % (n, s))
+
+    monkeypatch.setattr(verify, "check_conjecture", walk)
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, "--out", str(target), "verify", "--slope", "5/3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_census_too_large_exits_2_before_any_walk(capsys, monkeypatch):
     # 10001/3 is inside the int64 and depth limits, but each of its
     # 16,675,001 paths has its own (degr, area) key; the walk must not start

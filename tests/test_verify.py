@@ -369,6 +369,18 @@ def test_projection_exhaustive():
         verify_projection(BoundedPartition((3, 3), 3), 2)  # size >= (ell-2)m
 
 
+def test_input_rules_raise_input_error():
+    # each rule has one owner; the command line exits 2 on InputError
+    with pytest.raises(kernels.InputError):
+        catalan_slice(5, 3, -1)
+    with pytest.raises(kernels.InputError):
+        basecase([], 3)
+    with pytest.raises(kernels.InputError):
+        verify_string_partition(4, 3, 9)  # d >= (ell-1)m
+    with pytest.raises(kernels.InputError):
+        verify_projection(BoundedPartition((3, 3), 3), 2)  # size >= (ell-2)m
+
+
 def test_takeoff_addon():
     # dropping the first step sends a disconnected degree-d path (d < (ell-2)m)
     # to a disconnected path one level down, with degree d - x0(ell-1);
