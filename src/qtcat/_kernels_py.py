@@ -93,6 +93,10 @@ def _ellm_walk(ell, m, a1, dstar, visit, first):
     generators.  A prefix whose running degree exceeds dstar is cut (sound
     because no step lowers the degree), so the nodes entered at level i are
     exactly the (i, m)-paths with degr <= dstar, and a[:i + 1] is the path.
+
+    Each try sums alpha over the whole prefix, in O(i).  That plain sum is
+    the oracle for the C walk, which slides the degree from one try to the
+    next instead.
     """
     if dstar < 0:
         raise ValueError("dstar must be >= 0")

@@ -3,7 +3,9 @@
  * rational_census(n, s) walks the paths of a slope, with a gamma step that
  * reads a table of floor(nj/s) and divides nothing; the three (ell, m)
  * kernels, ellm_census_levels, ellm_paths_bounded and ellm_maximal_bounded,
- * all take (ell, m, dstar) and share one degree-pruned walk; lowest_tuple(a, m)
+ * all take (ell, m, dstar) and share one degree-pruned walk, which slides
+ * the degree from one try to the next in O(1) over a histogram of the
+ * earlier positions (of at most HIST_CAP entries); lowest_tuple(a, m)
  * iterates the cycle map right on one position tuple.  Each walk is an
  * iterative depth-first loop over int64 arrays sized to the instance.  The
  * census kernels count paths into growable open-addressed tables keyed by
@@ -294,6 +296,9 @@ alpha(int64_t a, int64_t b, int64_t m)
 /* what a walk does with the paths it keeps */
 enum leaf { COUNT, LIST };
 
+/* the largest position histogram a walk allocates */
+#define HIST_CAP ((int64_t)1 << 16)
+
 /* Walks the (ell, m)-paths with degr <= dstar in the order of _kernels_py:
    a_1 runs down from a1 (m for every path, 0 for the maximal ones only),
    each later a_i from a_{i-1} + m, and a prefix whose running degree
@@ -302,33 +307,84 @@ enum leaf { COUNT, LIST };
    degr <= dstar.  COUNT counts each of them, at every level i, into
    all[i - 1] (and max[i - 1] when a_1 = 0) under the key degr * width +
    area, with the width of level ell; LIST appends (degr, positions) of each
-   path at level ell to out. */
+   path at level ell to out.
+
+   The degree of a try a_i = v is
+     d(v) = degr(a_1..a_{i-1}) - max(v - m, 0) + sum over k < i of alpha(a_k, v).
+   As v falls by one, only the a_k within m of v move it:
+     d(v) = d(v + 1) + up(v + 1) - lo(v + 1) + [v + 1 > m],
+   with up(v) = #{k < i : a_k in [v + 1, v + m]} and
+   lo(v) = #{k < i : a_k in [v - m, v - 1]}.  A histogram h of a_1..a_{i-1}
+   slides both counts with four reads, so each try after a level's first
+   costs O(1).  The first try, v = a_{i-1} + m, starts from v = a_{i-1},
+   whose d and counts level i - 1 already holds (alpha(a_{i-1}, a_{i-1}) is
+   0), and climbs the same rule m steps up when m < i; otherwise it takes
+   the plain O(i) sum, which also sets the counts.  h spans the positions
+   0..(ell + 1)m + 1.  Past HIST_CAP entries it is not allocated and every
+   try takes the O(i) sum, so a huge m costs no memory. */
 static int
 ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar,
           enum leaf leaf, Table *all, Table *max, PyObject *out)
 {
-    /* per depth i: a = a_i, deg = degr of a_1..a_{i-1}, ar = their sum */
-    int64_t *buf = PyMem_Calloc(3 * (size_t)(ell + 1), sizeof(int64_t));
+    /* per depth i: a = a_i, ar = a_1 + ... + a_{i-1}, and for the last try
+       v = a_i: dv = d(v), up = up(v), lo = lo(v); so dv[i - 1] is the
+       degree of a_1..a_{i-1}, and dv[0] = 0 */
+    int64_t span = (ell + 1) * m + 2;
+    int hist = span <= HIST_CAP;
+    int64_t *buf = PyMem_Calloc(5 * (size_t)(ell + 1) + (hist ? (size_t)span : 0),
+                                sizeof(int64_t));
     if (buf == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    int64_t *a = buf, *deg = a + ell + 1, *ar = deg + ell + 1;
+    int64_t *a = buf, *ar = a + ell + 1, *dv = ar + ell + 1;
+    int64_t *up = dv + ell + 1, *lo = up + ell + 1;
+    int64_t *h = hist ? lo + ell + 1 : NULL;
     int64_t width = m * ell * (ell + 1) / 2 + 1;
     uint64_t ticks = 0;
     int64_t i = 1;
+    int first = 1; /* the next try is its level's first */
     a[1] = a1 + 1; /* pre-decremented */
     while (i >= 1) {
         if (interrupted(&ticks))
             goto fail;
         int64_t v = --a[i];
         if (v < 0) {
-            i--;
+            if (--i >= 1 && h != NULL)
+                h[a[i]]--;
             continue;
         }
-        int64_t d = deg[i] - (v > m ? v - m : 0);
-        for (int64_t k = 1; k < i; k++)
-            d += alpha(a[k], v, m);
+        int64_t d;
+        if (h != NULL && !first) {
+            d = dv[i] + up[i] - lo[i] + (v >= m);
+            up[i] += h[v + 1] - h[v + m + 1];
+            lo[i] += (v >= m ? h[v - m] : 0) - h[v];
+        } else if (h != NULL && m < i) {
+            /* climb from x = a_{i-1}: d(x) is degr(a_1..a_{i-1}) plus the
+               terms of x at level i - 1, and the counts are level i - 1's */
+            int64_t x = a[i - 1];
+            d = dv[i - 1] + (dv[i - 1] - dv[i - 2]);
+            int64_t u = up[i - 1], l = lo[i - 1];
+            for (; x < v; x++) {
+                u += h[x + m + 1] - h[x + 1];
+                l += h[x] - (x >= m ? h[x - m] : 0);
+                d += l - u - (x + 1 > m);
+            }
+            up[i] = u;
+            lo[i] = l;
+        } else {
+            d = dv[i - 1] - (v > m ? v - m : 0);
+            int64_t u = 0, l = 0;
+            for (int64_t k = 1; k < i; k++) {
+                d += alpha(a[k], v, m);
+                u += a[k] > v && a[k] <= v + m;
+                l += a[k] < v && a[k] >= v - m;
+            }
+            up[i] = u;
+            lo[i] = l;
+        }
+        dv[i] = d;
+        first = 0;
         if (d > dstar)
             continue;
         if (leaf == COUNT) {
@@ -338,10 +394,12 @@ ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar,
                 goto fail;
         }
         if (i < ell) {
+            if (h != NULL)
+                h[v]++;
             i++;
             a[i] = v + m + 1;
-            deg[i] = d;
             ar[i] = ar[i - 1] + v;
+            first = 1;
             continue;
         }
         if (leaf == COUNT)

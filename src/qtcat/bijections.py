@@ -382,5 +382,5 @@ def height_from_positions(a):
     """
     ell = len(a) - 1
     greatest = max(a)
-    j = max(i for i, v in enumerate(a) if v == greatest)
+    j = ell - a[::-1].index(greatest)
     return (greatest - 1) * ell + j - sum(a)

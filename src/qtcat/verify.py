@@ -97,14 +97,16 @@ def _witness(all_counts, max_counts, M):
     and -c at hi + 1.  So one pass over the keys, whatever the runs' lengths,
     gives lhs's steps minus rhs's, and slice d of lhs - rhs is their prefix
     sums."""
-    steps = {}
+    steps = dict(all_counts)
     for (d, a), c in all_counts.items():
-        steps[d, a] = steps.get((d, a), 0) + c
-        steps[d, a + 1] = steps.get((d, a + 1), 0) - c
+        key = d, a + 1
+        steps[key] = steps.get(key, 0) - c
     for (d, a), c in max_counts.items():
         lo, hi, sign = sym_run(a, M - d - a)
-        steps[d, lo] = steps.get((d, lo), 0) - sign * c
-        steps[d, hi + 1] = steps.get((d, hi + 1), 0) + sign * c
+        key = d, lo
+        steps[key] = steps.get(key, 0) - sign * c
+        key = d, hi + 1
+        steps[key] = steps.get(key, 0) + sign * c
     if not any(steps.values()):
         return None
     d = min(dd for (dd, _), c in steps.items() if c)
@@ -238,9 +240,10 @@ def basecase(m_values, dstar):
         raise kernels.InputError("need at least one m")
     # every walk fits the kernels before the first one runs: the largest for
     # each m is at ell = lstar, and the largest m goes first, so a range far
-    # past the kernels' limits fails at once
+    # past the kernels' limits fails at once; an m below 1 has no lstar, and
+    # check_ellm rejects it on m alone
     for m in reversed(m_values):
-        kernels.check_ellm(lstar(m, dstar), m, dstar)
+        kernels.check_ellm(lstar(max(m, 1), dstar), m, dstar)
     m_values = list(m_values)
     r1 = [computation1(m, dstar) for m in m_values]
     r2 = [computation2(m, dstar) for m in m_values]

@@ -143,6 +143,17 @@ def test_criterion_5_basecase_full_scale(impl, monkeypatch):
     report(5, "base case m in [1,20], d* = 20 (full scale)")
 
 
+def test_criterion_5_basecase_past_the_papers_bound(speedups, monkeypatch):
+    # d* = 24, past the paper's d* = 20: seconds on the C kernel, so C only
+    monkeypatch.setattr(kernels, "_impl", speedups)
+    r = verify.basecase(range(1, 25), 24)
+    assert r.verdict, r.witness
+    assert sum(c["paths"] for c in r.counts["computation2"]) == 25810312
+    assert sum(c["maximal"] for c in r.counts["computation2"]) == 359365
+    assert sum(c["maximal_paths"] for c in r.counts["computation1"]) == 35349
+    report(5, "base case m in [1,24], d* = 24 (C kernel)")
+
+
 def test_criterion_6_statistic_equivalence():
     checked = 0
     for ell in range(1, 6):

@@ -1,6 +1,6 @@
 import pytest
 
-from qtcat import cycles
+from qtcat import cycles, kernels, verify
 from qtcat.bijections import (
     BoundedPartition,
     ZeroOneMatrix,
@@ -274,3 +274,16 @@ def test_height_from_path_matches_bijections():
                 assert height_from_path(p) == height(lam)
                 assert height_from_path(p) == height(g_inv(f_inv(p)))
                 assert height_from_positions(p.positions) == height(lam)
+
+
+def test_height_from_positions_matches_the_scan_for_the_last_maximum():
+    # the last index of the maximum, against the index scan it replaced, on
+    # every maximal path that computation 1 walks in basecase(1..20, 20)
+    checked = 0
+    for m in range(1, 21):
+        for _, a in kernels.ellm_maximal_bounded(verify.lstar(m, 20), m, 20):
+            ell, greatest = len(a) - 1, max(a)
+            j = max(i for i, v in enumerate(a) if v == greatest)
+            assert height_from_positions(a) == (greatest - 1) * ell + j - sum(a), a
+            checked += 1
+    assert checked == 13079

@@ -43,6 +43,13 @@ def oracle_ellm(ell, m, dstar):
 # both backends, named last in the test ids: [5-3-python]
 BACKENDS = pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
 
+# The C walk slides each try's degree from the one before it over a
+# histogram of the earlier positions, and starts a level from the level
+# above when m < ell.  These walks take each branch: m = 1, windows that
+# reach past position 0 (v < m), and m >= ell, where every level's first
+# try takes the plain sum.
+SLIDES = [(7, 1, 6), (5, 2, 9), (4, 3, 10), (2, 6, 9), (3, 5, 12)]
+
 
 @BACKENDS
 @pytest.mark.parametrize("n,s", [(5, 3), (11, 5), (13, 8), (7, 2), (9, 1), (1, 7), (3, 10)])
@@ -52,7 +59,7 @@ def test_rational_census_matches_oracle(impl, n, s):
 
 @BACKENDS
 @pytest.mark.parametrize(
-    "ell,m,dstar", [(1, 4, 9), (3, 2, 50), (4, 3, 6), (5, 2, 8), (2, 6, 0)]
+    "ell,m,dstar", [(1, 4, 9), (3, 2, 50), (4, 3, 6), (5, 2, 8), (2, 6, 0), *SLIDES]
 )
 def test_ellm_census_matches_oracle(impl, ell, m, dstar):
     # one walk at ell counts every level below it too
@@ -61,7 +68,7 @@ def test_ellm_census_matches_oracle(impl, ell, m, dstar):
 
 
 @BACKENDS
-@pytest.mark.parametrize("ell,m,dstar", [(1, 3, 5), (4, 3, 6), (5, 2, 8)])
+@pytest.mark.parametrize("ell,m,dstar", [(1, 3, 5), (4, 3, 6), (5, 2, 8), *SLIDES])
 def test_maximal_bounded_matches_oracle(impl, ell, m, dstar):
     want = [
         (paths.degr_alpha(p), p.positions)
@@ -123,6 +130,34 @@ def test_bounded_kernels_match_unpruned_filter(impl, ell, m):
             assert impl.ellm_maximal_bounded(ell, m, dstar) == want, dstar
             want = [(d, pos) for d, _, pos in rows if d <= dstar]
             assert impl.ellm_paths_bounded(ell, m, dstar) == want, dstar
+
+
+@pytest.mark.parametrize("ell,m,dstar", [(14, 1, 12), (10, 2, 12), (6, 3, 12), (3, 7, 12)])
+def test_sliding_degree_matches_python_on_deep_walks(speedups, ell, m, dstar):
+    # deeper than the unpruned filter reaches: many slides per level
+    for name, bound in [
+        ("ellm_census_levels", dstar),
+        ("ellm_maximal_bounded", dstar),
+        ("ellm_paths_bounded", 8),
+    ]:
+        got = getattr(speedups, name)(ell, m, bound)
+        assert got == getattr(_kernels_py, name)(ell, m, bound), name
+
+
+# The histogram spans positions 0..(ell + 1)m + 1 and is kept only up to
+# 2**16 entries; past that every try takes the plain sum.  At ell = 4 the
+# span is 5m + 2: 65,532 entries at m = 13106, 65,537 at m = 13107.
+@pytest.mark.parametrize("m", [13106, 13107])
+def test_sliding_degree_on_each_side_of_the_histogram_cap(speedups, m):
+    got = speedups.ellm_maximal_bounded(4, m, 8)
+    assert got == _kernels_py.ellm_maximal_bounded(4, m, 8)
+    assert len(got) == 41
+
+
+@BACKENDS
+def test_huge_m_walk_allocates_no_histogram(impl):
+    # a histogram over positions 0..2m + 1 would take gigabytes
+    assert impl.ellm_maximal_bounded(1, 5 * 10**8, 0) == [(0, (0, 0))]
 
 
 @lru_cache(maxsize=None)
@@ -335,7 +370,8 @@ def result_digest(result):
 
 def golden_calls():
     """The 17/12 and 19/13 censuses, the censuses of basecase(1..20, d*) at
-    d* = 15 and 20, and the maximal listings of basecase(1..20, 20)."""
+    d* = 15 and 20, the maximal listings of basecase(1..20, 20), and past the
+    paper's bound the censuses and maximal listings of basecase(1..24, 24)."""
     yield "rational_census", (17, 12)
     for m in range(1, 21):
         yield "ellm_census_levels", (verify.lstar(m, 15), m, 15)
@@ -344,6 +380,10 @@ def golden_calls():
         yield "ellm_census_levels", (verify.lstar(m, 20), m, 20)
     for m in range(1, 21):
         yield "ellm_maximal_bounded", (verify.lstar(m, 20), m, 20)
+    for m in range(1, 25):
+        yield "ellm_census_levels", (verify.lstar(m, 24), m, 24)
+    for m in range(1, 25):
+        yield "ellm_maximal_bounded", (verify.lstar(m, 24), m, 24)
 
 
 def golden_digests(impl):
@@ -366,7 +406,7 @@ def test_census_matches_golden_digests(impl):
     if impl is _kernels_py and not os.environ.get("QTCAT_FULL_BASECASE"):
         pytest.skip("pure-Python golden censuses are opt-in; set QTCAT_FULL_BASECASE=1")
     got = golden_digests(impl)
-    assert len(got) == 213
+    assert len(got) == 369
     assert got == json.loads(GOLDEN.read_text())
 
 

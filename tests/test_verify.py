@@ -381,6 +381,13 @@ def test_input_rules_raise_input_error():
         verify_projection(BoundedPartition((3, 3), 3), 2)  # size >= (ell-2)m
 
 
+def test_basecase_rejects_m_below_one_with_the_kernels_message():
+    # m = 0 has no lstar; check_ellm names it, as it does a negative m
+    for m_values in ([0], range(0, 3), [-2]):
+        with pytest.raises(kernels.InputError, match="ell and m must be positive"):
+            basecase(m_values, 3)
+
+
 def test_takeoff_addon():
     # dropping the first step sends a disconnected degree-d path (d < (ell-2)m)
     # to a disconnected path one level down, with degree d - x0(ell-1);
