@@ -64,9 +64,25 @@ def _rows_to_text(rows, header, fmt):
     return "\n".join(lines) + "\n"
 
 
+def _rational_rows(n, s):
+    """(steps, area, degr, dinv, maximal) of every path of slope n/s."""
+    for p in paths.enumerate_rational(n, s):
+        st = paths.stats(p)
+        yield p.steps, st.area, st.degr, st.dinv, paths.is_maximal(p)
+
+
+def _ellm_rows(ell, m, bound):
+    """(steps, area, degr, dinv, maximal) of the (ell, m)-paths of degree at
+    most bound, in the generators' order, each from the (degr, positions)
+    pair the walk lists: nothing is scored again."""
+    M = paths.max_area(ell, m)
+    for degr, a in kernels.ellm_paths_bounded(ell, m, bound):
+        area = sum(a)
+        yield paths.steps_of_positions(a, m), area, degr, M - area - degr, a[1] == 0
+
+
 def cmd_enumerate(args):
     header = ["steps", "area", "degr", "dinv", "maximal"]
-    rows = []
     if args.slope and args.ellm:
         raise UsageError("enumerate takes --slope or --ellm, not both")
     if args.slope:
@@ -74,29 +90,26 @@ def cmd_enumerate(args):
         # pure-Python kernels, so it is held to the kernels' limits
         n, s = _parse_slope(args.slope)
         kernels.check_slope(n, s)
-        stream = paths.enumerate_rational(n, s)
+        stream = _rational_rows(n, s)
     elif args.ellm:
         ell, m = _parse_ellm(args.ellm)
-        # the degree-pruned walk, in the generators' order; no path the
-        # kernels accept has degree LIMIT or more, so that bound keeps all
+        # the degree-pruned walk; no path the kernels accept has degree
+        # LIMIT or more, so that bound keeps all
         bound = kernels.LIMIT if args.max_degr is None else args.max_degr
-        walk = kernels.ellm_paths_bounded(ell, m, min(max(bound, 0), kernels.LIMIT))
-        stream = (paths.positions_to_steps(paths.PositionPath(m, a)) for _, a in walk)
+        stream = _ellm_rows(ell, m, min(max(bound, 0), kernels.LIMIT))
     else:
         raise UsageError("enumerate needs --slope or --ellm")
-    for p in stream:
-        st = paths.stats(p)
-        if args.max_degr is not None and st.degr > args.max_degr:
-            continue
-        rows.append(
-            {
-                "steps": ",".join(str(x) for x in p.steps),
-                "area": st.area,
-                "degr": st.degr,
-                "dinv": st.dinv,
-                "maximal": paths.is_maximal(p),
-            }
-        )
+    rows = [
+        {
+            "steps": ",".join(map(str, steps)),
+            "area": area,
+            "degr": degr,
+            "dinv": dinv,
+            "maximal": maximal,
+        }
+        for steps, area, degr, dinv, maximal in stream
+        if args.max_degr is None or degr <= args.max_degr
+    ]
     args.out.write(_rows_to_text(rows, header, args.format))
     return 0
 
@@ -175,12 +188,9 @@ def cmd_basecase(args):
     return _report_exit(verify.basecase(range(1, args.m_max + 1), args.dstar), args)
 
 
-def _path_line(p):
-    sp = paths.positions_to_steps(p)
+def _path_line(a, m, degr):
     return "  %s  area=%d, degr=%d" % (
-        ",".join(str(x) for x in sp.steps),
-        paths.area(p),
-        paths.degr_alpha(p),
+        ",".join(map(str, paths.steps_of_positions(a, m))), sum(a), degr
     )
 
 
@@ -191,13 +201,22 @@ def cmd_strings(args):
     report = verify.verify_string_partition(ell, m, args.d)
     if args.format == "json":
         return _report_exit(report, args)
+    listed = report.detail["listed"]
+
+    def line(a):
+        # the walk scored every tuple it listed at degree d; one outside that
+        # set shows only when the check fails, and is scored here
+        if a in listed:
+            return _path_line(a, m, args.d)
+        return _path_line(a, m, paths.degr_alpha(paths.PositionPath(m, a)))
+
     lines = []
     for st in report.detail["strings"]:
         lines.append("string %s:" % (list(st.source.parts),))
-        lines.extend(_path_line(p) for p in st.elements)
+        lines.extend(line(p.positions) for p in st.elements)
     leftovers = report.detail["disconnected"]
     lines.append("disconnected (%d):" % len(leftovers))
-    lines.extend(_path_line(p) for p in leftovers)
+    lines.extend(map(line, leftovers))
     lines.append("verdict: %s" % ("pass" if report.verdict else "fail"))
     args.out.write("\n".join(lines) + "\n")
     return 0 if report.verdict else 1
@@ -251,7 +270,11 @@ def build_parser():
         prog="qtcat",
         description="Rational q,t-Catalan paths, statistics, and conjecture checks",
     )
-    ap.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
+    ap.add_argument(
+        "--format", choices=["plain", "json", "csv"], default="plain",
+        help="csv applies to enumerate and poly only; the other commands "
+        "print plain text under it",
+    )
     ap.add_argument(
         "--jobs", type=int, default=1,
         help="must be >= 1; accepted, but the base case always runs in one process",

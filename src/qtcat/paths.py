@@ -173,12 +173,17 @@ def steps_to_positions(p: EllMPath) -> PositionPath:
     return PositionPath(p.m, tuple(a))
 
 
+def steps_of_positions(a, m):
+    """The steps of the position tuple a: x_i = m + a_i - a_{i+1}, and the
+    last step, m + a_ell, closes the total to m(ell+1)."""
+    xs = [m + a[i] - a[i + 1] for i in range(len(a) - 1)]
+    xs.append(m + a[-1])
+    return tuple(xs)
+
+
 def positions_to_steps(p: PositionPath) -> EllMPath:
-    """x_i = m + a_i - a_{i+1}; the last step closes the total to m(ell+1)."""
-    a = p.positions
-    xs = [p.m + a[i] - a[i + 1] for i in range(len(a) - 1)]
-    xs.append(p.m + a[-1])
-    return EllMPath(p.ell, p.m, tuple(xs))
+    """The same path in step coordinates; see steps_of_positions."""
+    return EllMPath(p.ell, p.m, steps_of_positions(p.positions, p.m))
 
 
 def ellm_to_rational(p: EllMPath) -> RationalDyckPath:

@@ -17,13 +17,16 @@ from qtcat.bijections import (
     g,
     height_from_positions,
 )
-from qtcat.paths import PositionPath, Record, max_area, max_area_rational
+from qtcat.paths import Record, max_area, max_area_rational
 from qtcat.qtpoly import QtPolynomial, sym_run
 
 
 class VerificationReport(Record):
     # detail holds what the check built, for the command line to print;
-    # to_obj leaves it out
+    # to_obj leaves it out.  verify_string_partition puts there its strings,
+    # the disconnected position tuples in walk order, and "listed": the set
+    # of every tuple the walk listed at degree d, connected or not, so a
+    # listing prints their degree without scoring them again
     __slots__ = ("params", "verdict", "lhs", "rhs", "witness", "counts", "detail")
 
     def __init__(
@@ -290,7 +293,7 @@ def verify_string_partition(ell, m, d):
         if ok:
             connected.add(a)
         else:
-            disconnected.append(PositionPath(m, a))
+            disconnected.append(a)
     strings = []
     covered = set()
     witness = None
@@ -322,7 +325,11 @@ def verify_string_partition(ell, m, d):
             "disconnected": len(disconnected),
             "runtime": round(time.perf_counter() - t0, 3),
         },
-        detail={"strings": strings, "disconnected": disconnected},
+        detail={
+            "strings": strings,
+            "disconnected": disconnected,
+            "listed": connected.union(disconnected),
+        },
     )
 
 

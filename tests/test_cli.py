@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qtcat import kernels, verify
+from qtcat import cycles, kernels, verify
 from qtcat.bijections import BoundedPartition
 from qtcat.cli import _report_json, main
 from qtcat.qtpoly import QtPolynomial
@@ -69,6 +69,35 @@ def test_enumerate_ellm_matches_pinned_output(capsys, monkeypatch, impl, argv, n
     assert (code, err) == (0, "")
     # bytes, so the csv writer's \r\n line ends are compared as they are
     assert out == (DATA / name).read_bytes().decode()
+
+
+# SHA-256 of larger `enumerate --ellm` outputs, captured when every row was
+# rebuilt as a path record and scored again with paths.stats after the walk
+ENUMERATE_ELLM_SHA256 = {
+    # 7,084 rows, 187,330 bytes
+    "5,3": "af6cc4df4b6c3478e5b6527cd9a9d9ba9257f17786acb8b2b8b11e0a7d6c8b5d",
+    # 327 rows, 9,304 bytes
+    "6,4 max-2": "63e4e8d4ef50cfeb8e22ad638d59cb616d38131cecaa7e9dfa790fe16065c20c",
+    # 7,084 rows, 208,583 bytes
+    "5,3 csv": "eea4fb87923792ee4e007e172f7e0a7da7d335556108ce7af45ac1c082f109bc",
+}
+
+
+@pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["enumerate", "--ellm", "5,3"], "5,3"),
+        (["enumerate", "--ellm", "6,4", "--max-degr", "2"], "6,4 max-2"),
+        (["--format", "csv", "enumerate", "--ellm", "5,3"], "5,3 csv"),
+    ],
+    ids=["5-3", "6-4-max-2", "5-3-csv"],
+)
+def test_enumerate_ellm_matches_golden_digest(capsys, monkeypatch, impl, argv, name):
+    monkeypatch.setattr(kernels, "_impl", impl)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_ELLM_SHA256[name]
 
 
 def test_enumerate_slope_and_ellm_exits_2(capsys):
@@ -208,6 +237,41 @@ def test_strings_at_benchmark_scale_match_golden_digest(capsys, monkeypatch, imp
     code, out, _ = run_cli(capsys, "strings", "--ellm", "6,4", "--d", "10")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STRINGS_6_4_10_SHA256
+
+
+# `strings --ellm 2,4 --d 2` with a broken string: the string of [1, 1] runs
+# on into the first two paths of the degree-1 string [1], which the walk at
+# degree 2 never listed, so they print with the degree scored from their
+# positions; captured when every printed path was scored that way
+STRINGS_2_4_2_OFF_DEGREE = """\
+string [1, 1]:
+  4,2,6  area=2, degr=2
+  1,7,4  area=3, degr=2
+  3,2,7  area=4, degr=2
+  0,7,5  area=5, degr=2
+  2,2,8  area=6, degr=2
+  2,1,9  area=7, degr=2
+  2,0,10  area=8, degr=2
+  4,3,5  area=1, degr=1
+  2,6,4  area=2, degr=1
+disconnected (0):
+verdict: fail
+"""
+
+
+@pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
+def test_failing_strings_check_prints_true_degree(capsys, monkeypatch, impl):
+    monkeypatch.setattr(kernels, "_impl", impl)
+    string_of = cycles.string_of
+
+    def string_with_extra(lam, m):
+        lower = BoundedPartition(lam.parts[1:], lam.bound)
+        extra = string_of(lower, m).elements[:2]
+        return cycles.PathString(lam, string_of(lam, m).elements + extra)
+
+    monkeypatch.setattr(cycles, "string_of", string_with_extra)
+    code, out, err = run_cli(capsys, "strings", "--ellm", "2,4", "--d", "2")
+    assert (code, out, err) == (1, STRINGS_2_4_2_OFF_DEGREE, "")
 
 
 def test_strings_bad_degree(capsys):

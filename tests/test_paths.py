@@ -30,6 +30,7 @@ from qtcat.paths import (
     positions_to_steps,
     rational_to_ellm,
     stats,
+    steps_of_positions,
     steps_to_positions,
     under,
 )
@@ -77,7 +78,11 @@ def test_round_trip_exhaustive():
             if ell * m > 12:
                 continue
             for p in enumerate_ellm(ell, m):
-                assert positions_to_steps(steps_to_positions(p)) == p
+                q = steps_to_positions(p)
+                assert positions_to_steps(q) == p
+                # the tuple helper the listings print from gives the same steps
+                assert steps_of_positions(q.positions, m) == p.steps
+                assert steps_of_positions(q.positions, m) == positions_to_steps(q).steps
 
 
 def test_rational_correspondence_round_trip():

@@ -123,8 +123,14 @@ def test_verification_report_defaults():
 def test_cli_import_leaves_heavy_modules_out():
     # qtcat's start-up cost: none of these may be imported on the way to cli
     heavy = ("dataclasses", "inspect", "fractions", "decimal", "csv")
-    code = "import sys; from qtcat import cli; print([m for m in %r if m in sys.modules])" % (
-        heavy,
+    # and nothing else may join what cli imports today: argparse, gettext and
+    # json with what they bring, __future__, contextlib, math and qtcat's own
+    # modules (either kernel backend)
+    code = (
+        "import sys; import argparse, gettext, json; before = set(sys.modules); "
+        "from qtcat import cli; "
+        "print([m for m in %r if m in sys.modules]); "
+        "print(' '.join(sorted(set(sys.modules) - before)))" % (heavy,)
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -132,4 +138,12 @@ def test_cli_import_leaves_heavy_modules_out():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded_heavy, added = proc.stdout.split("\n")[:2]
+    assert loaded_heavy == "[]"
+    allowed = {"__future__", "contextlib", "math", "qtcat"}
+    allowed |= {
+        "qtcat." + name
+        for name in ("_kernels_py", "_speedups", "bijections", "cli", "cycles",
+                     "kernels", "paths", "qtpoly", "verify")
+    }
+    assert set(added.split()) - allowed == set()
