@@ -31,8 +31,7 @@ class BoundedPartition(Record):
             if x < 1 or x > prev:
                 raise ValueError("parts must be weakly decreasing in [1, bound]")
             prev = x
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "bound", bound)
+        super().__init__(parts, bound)
 
     def size(self):
         return sum(self.parts)
@@ -127,9 +126,7 @@ class ZeroOneMatrix(Record):
             for j in range(ell):
                 if ent[i][j] == 0 and ent[i + 1][j] == 1:
                     raise ValueError("no 0 may sit directly above a 1")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "entries", ent)
+        super().__init__(m, ell, ent)
 
     def to_text(self):
         return "\n".join(

@@ -211,9 +211,9 @@ def cmd_strings(args):
         return _path_line(a, m, paths.degr_alpha(paths.PositionPath(m, a)))
 
     lines = []
-    for st in report.detail["strings"]:
-        lines.append("string %s:" % (list(st.source.parts),))
-        lines.extend(line(p.positions) for p in st.elements)
+    for lam, orbit in report.detail["strings"]:
+        lines.append("string %s:" % (list(lam.parts),))
+        lines.extend(map(line, orbit))
     leftovers = report.detail["disconnected"]
     lines.append("disconnected (%d):" % len(leftovers))
     lines.extend(map(line, leftovers))

@@ -8,7 +8,7 @@ produces the path's string; iterating left classifies a path as connected
 
 from __future__ import annotations
 
-from qtcat.paths import PositionPath, Record, max_area
+from qtcat.paths import PositionPath, max_area
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +102,6 @@ def _left_orbit(a, m, decided):
     return visited, False
 
 
-def is_connected_tuple(a, m):
-    """True when iterated left reaches a maximal tuple (a_1 == 0)."""
-    return _left_orbit(a, m, {})[1]
-
-
 # ---------------------------------------------------------------------------
 # public operations on PositionPath
 
@@ -146,30 +141,18 @@ def lowest(p: PositionPath) -> PositionPath:
 
 
 def is_connected(p: PositionPath) -> bool:
-    return is_connected_tuple(p.positions, p.m)
+    """True when iterated left reaches a maximal path (a_1 == 0)."""
+    return _left_orbit(p.positions, p.m, {})[1]
 
 
 # ---------------------------------------------------------------------------
 # strings
 
 
-class PathString(Record):
-    """The right-orbit of a maximal path, indexed by its partition."""
-
-    __slots__ = ("source", "elements")  # a BoundedPartition, PositionPaths
-
-    def __init__(self, source, elements: tuple):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "elements", elements)
-
-    def areas(self):
-        from qtcat.paths import area
-
-        return [area(p) for p in self.elements]
-
-
-def string_of(lam, m) -> PathString:
-    """The string of the partition lam: the right-orbit of f(g(lam)).
+def string_of(lam, m):
+    """The string of the partition lam: the right orbit of f(g(lam, m)), as a
+    tuple of position tuples (a_0, ..., a_ell), ell = lam.bound + 1, each of
+    degr |lam| and each one area above the one before.
 
     Requires |lam| < (ell - 1) m where ell - 1 is the partition's part bound.
     """
@@ -179,5 +162,4 @@ def string_of(lam, m) -> PathString:
     if lam.size() >= (ell - 1) * m:
         raise ValueError("partition size must be < (ell-1)m")
     v = f(g(lam, m))
-    orbit = _orbit(v.positions, v.m, right_tuple)
-    return PathString(source=lam, elements=tuple(PositionPath(v.m, a) for a in orbit))
+    return tuple(_orbit(v.positions, v.m, right_tuple))

@@ -27,13 +27,18 @@ class Record:
     """Base of qtcat's frozen value types.
 
     A subclass names its fields, in order, in __slots__, and its __init__
-    sets them through object.__setattr__ once it has checked them.  A record
+    checks its arguments and passes the field values, in that order, to
+    Record.__init__, the one place a field is set.  A record
     equals another of the same class with equal fields, hashes as the tuple
     of its fields, prints as Name(field=value, ...), refuses assignment, and
     copies and pickles by calling its class with its fields.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -86,9 +91,7 @@ class EllMPath(Record):
                 raise ValueError("prefix sum exceeds m(i+1) at i=%d" % i)
         if s != m * (ell + 1):
             raise ValueError("steps must sum to m(ell+1)")
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "steps", steps)
+        super().__init__(ell, m, steps)
 
 
 class PositionPath(Record):
@@ -109,8 +112,7 @@ class PositionPath(Record):
                 raise ValueError("positions must be nonnegative with a_i - a_{i+1} >= -m")
         if a[-1] < 0:
             raise ValueError("positions must be nonnegative")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "positions", a)
+        super().__init__(m, a)
 
     @property
     def ell(self):
@@ -140,9 +142,7 @@ class RationalDyckPath(Record):
                 raise ValueError("prefix sum not strictly below the diagonal at i=%d" % i)
         if acc != n:
             raise ValueError("steps must sum to n")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "steps", steps)
+        super().__init__(num, den, steps)
 
     @property
     def ell(self):
@@ -155,10 +155,7 @@ class StatReport(Record):
     def __init__(self, area: int, degr: int, dinv: int, M: int):
         if area + degr + dinv != M:
             raise ValueError("area + degr + dinv must equal M")
-        object.__setattr__(self, "area", area)
-        object.__setattr__(self, "degr", degr)
-        object.__setattr__(self, "dinv", dinv)
-        object.__setattr__(self, "M", M)
+        super().__init__(area, degr, dinv, M)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +501,3 @@ def parse_path_text(text, m=None, slope=None):
     if m is None:
         raise ValueError("step form requires m or slope")
     return EllMPath(len(vals) - 1, m, vals)
-
-
-def path_to_text(p):
-    if isinstance(p, PositionPath):
-        return "pos:" + ",".join(str(v) for v in p.positions)
-    return ",".join(str(v) for v in p.steps)

@@ -8,8 +8,6 @@ ascending t_exp.
 
 from __future__ import annotations
 
-import json
-
 
 class QtPolynomial:
     """Immutable sparse polynomial in q, t with integer coefficients."""
@@ -73,10 +71,6 @@ class QtPolynomial:
         out._terms = {k: c for k, c in self._terms.items() if k[0] + k[1] == n}
         return out
 
-    def total_degrees(self):
-        """Sorted list of total degrees occurring in the polynomial."""
-        return sorted({a + b for a, b in self._terms})
-
     def __str__(self):
         if not self._terms:
             return "0"
@@ -98,16 +92,9 @@ class QtPolynomial:
         """JSON-ready form: list of {"q","t","c"} in canonical order."""
         return [{"q": a, "t": b, "c": c} for (a, b), c in self.terms()]
 
-    def to_json(self):
-        return json.dumps(self.to_obj())
-
     @classmethod
     def from_obj(cls, obj):
         return cls({(d["q"], d["t"]): d["c"] for d in obj})
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_obj(json.loads(text))
 
 
 ZERO = QtPolynomial()

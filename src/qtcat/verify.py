@@ -24,6 +24,7 @@ from qtcat.qtpoly import QtPolynomial, sym_run
 class VerificationReport(Record):
     # detail holds what the check built, for the command line to print;
     # to_obj leaves it out.  verify_string_partition puts there its strings,
+    # as (partition, orbit) pairs with the orbit a tuple of position tuples,
     # the disconnected position tuples in walk order, and "listed": the set
     # of every tuple the walk listed at degree d, connected or not, so a
     # listing prints their degree without scoring them again
@@ -39,13 +40,10 @@ class VerificationReport(Record):
         counts: dict | None = None,
         detail: dict | None = None,
     ):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "counts", {} if counts is None else counts)
-        object.__setattr__(self, "detail", {} if detail is None else detail)
+        super().__init__(
+            params, verdict, lhs, rhs, witness,
+            {} if counts is None else counts, {} if detail is None else detail,
+        )
 
     def to_obj(self):
         return {
@@ -298,8 +296,8 @@ def verify_string_partition(ell, m, d):
     covered = set()
     witness = None
     for lam in bounded_partitions(d, ell - 1):
-        st = cycles.string_of(lam, m)
-        elems = {p.positions for p in st.elements}
+        orbit = cycles.string_of(lam, m)
+        elems = set(orbit)
         if covered & elems:
             witness = {
                 "reason": "strings overlap",
@@ -308,7 +306,7 @@ def verify_string_partition(ell, m, d):
             }
             break
         covered |= elems
-        strings.append(st)
+        strings.append((lam, orbit))
     if witness is None and covered != connected:
         witness = {
             "reason": "string union differs from connected set",

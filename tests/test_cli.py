@@ -266,8 +266,7 @@ def test_failing_strings_check_prints_true_degree(capsys, monkeypatch, impl):
 
     def string_with_extra(lam, m):
         lower = BoundedPartition(lam.parts[1:], lam.bound)
-        extra = string_of(lower, m).elements[:2]
-        return cycles.PathString(lam, string_of(lam, m).elements + extra)
+        return string_of(lam, m) + string_of(lower, m)[:2]
 
     monkeypatch.setattr(cycles, "string_of", string_with_extra)
     code, out, err = run_cli(capsys, "strings", "--ellm", "2,4", "--d", "2")

@@ -1,7 +1,7 @@
 import pytest
 
 from qtcat import cycles, paths
-from qtcat.bijections import BoundedPartition
+from qtcat.bijections import BoundedPartition, bounded_partitions
 from qtcat.cycles import (
     cycleleft_tuple,
     cycleright_tuple,
@@ -106,22 +106,48 @@ def test_lowest_examples():
     assert lowest(top).positions == top.positions  # already unrightable
 
 
+def areas(orbit, m):
+    return [area(PositionPath(m, a)) for a in orbit]
+
+
 def test_string_of_structure():
     lam = BoundedPartition.from_multiplicities([1, 1, 0])  # (3,2), ell=4
     st = string_of(lam, 3)
-    assert st.areas() == list(range(5, 24))
-    d0 = degr_alpha(st.elements[0])
-    assert all(degr_alpha(p) == d0 == 5 for p in st.elements)
-    assert is_maximal(st.elements[0])
-    assert right(st.elements[-1]) is None
+    assert areas(st, 3) == list(range(5, 24))
+    assert all(degr_alpha(PositionPath(3, a)) == 5 for a in st)
+    assert is_maximal(PositionPath(3, st[0]))
+    assert right(PositionPath(3, st[-1])) is None
 
     lam2 = BoundedPartition.from_multiplicities([0, 0, 5])  # (1,1,1,1,1)
     st2 = string_of(lam2, 3)
-    assert st2.areas() == list(range(2, 19))
-    assert st2.elements[0].positions == (0, 0, 0, 2, 0)
+    assert areas(st2, 3) == list(range(2, 19))
+    assert st2[0] == (0, 0, 0, 2, 0)
 
     with pytest.raises(ValueError):
         string_of(BoundedPartition((1,) * 9, 1), 3)  # size >= (ell-1)m
+
+
+# every string at (ell, m) = (4, 3) with d <= 5, (5, 2) with d <= 7 and
+# (3, 4) with d <= 7, as (ell, m, lam)
+STRINGS = [
+    (ell, m, lam)
+    for ell, m, dmax in ((4, 3, 5), (5, 2, 7), (3, 4, 7))
+    for d in range(dmax + 1)
+    for lam in bounded_partitions(d, ell - 1)
+]
+
+
+@pytest.mark.parametrize(
+    "ell, m, lam", STRINGS,
+    ids=["%d,%d:%s" % (ell, m, "-".join(map(str, lam.parts)) or "0") for ell, m, lam in STRINGS],
+)
+def test_string_elements_are_paths_of_its_degree_with_consecutive_areas(ell, m, lam):
+    st = string_of(lam, m)
+    for a in st:
+        assert type(a) is tuple and len(a) == ell + 1
+        assert degr_alpha(PositionPath(m, a)) == lam.size()  # PositionPath checks a
+    first = area(PositionPath(m, st[0]))
+    assert areas(st, m) == list(range(first, first + len(st)))
 
 
 def test_string_extendable_table_intervals():
@@ -134,8 +160,8 @@ def test_string_extendable_table_intervals():
         (1, 1, 1, 1, 1): (2, 18),
     }
     for parts, (lo, hi) in expected.items():
-        st = string_of(BoundedPartition(parts, 3), 3)
-        assert st.areas()[0] == lo and st.areas()[-1] == hi
+        got = areas(string_of(BoundedPartition(parts, 3), 3), 3)
+        assert got[0] == lo and got[-1] == hi
 
 
 def test_is_connected():

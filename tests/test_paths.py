@@ -26,7 +26,6 @@ from qtcat.paths import (
     max_area,
     max_area_rational,
     parse_path_text,
-    path_to_text,
     positions_to_steps,
     rational_to_ellm,
     stats,
@@ -331,8 +330,6 @@ def test_text_round_trip():
     assert positions_to_steps(q) == p
     r = parse_path_text("2,2,2,2,3", slope=(11, 5))
     assert isinstance(r, RationalDyckPath)
-    assert path_to_text(p) == "1,3,0,2,2,4"
-    assert path_to_text(q) == "pos:0,1,0,2,2,2"
 
 
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10 ** 6))

@@ -15,8 +15,7 @@ from pathlib import Path
 import pytest
 
 from qtcat.bijections import BoundedPartition, ZeroOneMatrix
-from qtcat.cycles import PathString
-from qtcat.paths import EllMPath, PositionPath, RationalDyckPath, StatReport
+from qtcat.paths import EllMPath, PositionPath, RationalDyckPath, Record, StatReport
 from qtcat.verify import VerificationReport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,7 +27,6 @@ RECORDS = [
     StatReport(area=7, degr=9, dinv=14, M=30),
     BoundedPartition((2, 1), 3),
     ZeroOneMatrix(2, 2, ((0, 1), (None, None))),
-    PathString(source=BoundedPartition((), 1), elements=(PositionPath(1, (0, 0)),)),
     VerificationReport({"n": 5, "s": 3}, True, counts={"paths": 7}),
 ]
 IDS = [type(r).__name__ for r in RECORDS]
@@ -76,10 +74,6 @@ def test_record_repr_literals():
         "StatReport(area=7, degr=9, dinv=14, M=30)"
     )
     assert repr(PositionPath(3, (0, 0, 2, 1))) == "PositionPath(m=3, positions=(0, 0, 2, 1))"
-    assert repr(RECORDS[6]) == (
-        "PathString(source=BoundedPartition(parts=(), bound=1),"
-        " elements=(PositionPath(m=1, positions=(0, 0)),))"
-    )
 
 
 @pytest.mark.parametrize("r", RECORDS, ids=IDS)
@@ -110,6 +104,14 @@ def test_record_constructor_normalises():
     assert ZeroOneMatrix(1, 2, [[0, 1]]).entries == ((0, 1),)
     with pytest.raises(ValueError):
         StatReport(1, 1, 1, 4)
+    # Record.__init__ sets the fields from exactly one value each
+    class Pair(Record):
+        __slots__ = ("a", "b")
+
+    assert fields(Pair(1, (2,))) == (1, (2,))
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            Pair(*values)
 
 
 def test_verification_report_defaults():

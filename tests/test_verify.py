@@ -204,7 +204,7 @@ def mismatch(lhs, rhs, M):
     if lhs == rhs:
         return None
     diff = lhs - rhs
-    d = M - max(diff.total_degrees())
+    d = M - max(a + b for (a, b), _ in diff.terms())
     return {"d": d, "difference": diff.slice_total_degree(M - d).to_obj()}
 
 
@@ -307,8 +307,7 @@ def test_ell2_strings_cover_slices():
     # D_{2,m}^d is a single string for d < m
     for m in range(2, 5):
         for d in range(m):
-            st = cycles.string_of(BoundedPartition((1,) * d, 1), m)
-            got = {p.positions for p in st.elements}
+            got = set(cycles.string_of(BoundedPartition((1,) * d, 1), m))
             want = {
                 p.positions
                 for p in paths.enumerate_positions(2, m)
