@@ -71,10 +71,10 @@ def bounded_partitions(d, bound):
         yield BoundedPartition(parts, bound)
 
 
-def hook_rows(lam: BoundedPartition, ell=None):
-    """1-based hook row indices: row 1, then repeatedly i -> i + ell - lambda_i."""
-    if ell is None:
-        ell = lam.bound + 1
+def hook_rows(lam: BoundedPartition):
+    """1-based hook row indices: row 1, then repeatedly i -> i + ell - lambda_i,
+    with ell = lam.bound + 1."""
+    ell = lam.bound + 1
     rows = []
     i = 1
     while i <= len(lam.parts):
@@ -83,9 +83,9 @@ def hook_rows(lam: BoundedPartition, ell=None):
     return rows
 
 
-def width(lam: BoundedPartition, ell=None):
+def width(lam: BoundedPartition):
     """w^{ell-1}: total length of the hook rows."""
-    return sum(lam.parts[h - 1] for h in hook_rows(lam, ell))
+    return sum(lam.parts[h - 1] for h in hook_rows(lam))
 
 
 def height(lam: BoundedPartition):
@@ -175,14 +175,14 @@ def contacts(M: ZeroOneMatrix):
 # g: partitions -> matrices
 
 
-def _boundary_segments(lam: BoundedPartition, ell):
+def _boundary_segments(lam: BoundedPartition):
     """The hook-row segments of the diagram's boundary trace.
 
     Walking the lower-right boundary, each row i contributes a 0 followed by
     lambda_i - lambda_{i+1} 1s; the trace is split at the hook rows.
     """
     parts = lam.parts
-    hooks = hook_rows(lam, ell)
+    hooks = hook_rows(lam)
     nxt = hooks[1:] + [len(parts) + 1]
     segs = []
     for h, stop in zip(hooks, nxt):
@@ -195,51 +195,31 @@ def _boundary_segments(lam: BoundedPartition, ell):
     return segs
 
 
-def g(lam: BoundedPartition, m, ell=None):
-    """The partition-to-matrix bijection, by the hook-segment fill.
+def g(lam: BoundedPartition, m):
+    """The partition-to-matrix bijection, by the hook-segment fill, into an
+    m x ell matrix with ell = lam.bound + 1.
 
-    Segments are placed bottom-up (last hook segment in its own row, flushed
-    left), each placement propagating its 1s to the empty cells above; the
-    remaining cells become *.
+    Segment k goes in row k, placed bottom-up: it fills the row's * cells
+    from the left, and each 1 it places turns the * cells above it into 1s.
+    The cells no segment reaches stay *.
     """
-    if ell is None:
-        ell = lam.bound + 1
+    ell = lam.bound + 1
     if lam.size() >= (ell - 1) * m:
         raise ValueError("partition size must be < (ell-1)m")
     grid = [[STAR] * ell for _ in range(m)]
-    filled = [[False] * ell for _ in range(m)]
-    segs = _boundary_segments(lam, ell)
-    n = len(segs)
-    if n == 0:
-        return ZeroOneMatrix(m, ell, tuple(tuple(r) for r in grid))
-    if n > m:
+    segs = _boundary_segments(lam)
+    if len(segs) > m:
         raise AssertionError("more hook segments than rows; bound violated")
-
-    def place_row(r0, seg):
-        it = iter(seg)
-        for j in range(ell):
-            if not filled[r0][j]:
-                v = next(it, None)
-                if v is None:
-                    break
-                grid[r0][j] = v
-                filled[r0][j] = True
-        leftover = list(it)
-        if leftover:
+    for r in reversed(range(len(segs))):
+        free = [j for j in range(ell) if grid[r][j] is STAR]
+        if len(segs[r]) > len(free):
             raise AssertionError("segment does not fit its row; bound violated")
-        for j in range(ell):
-            if grid[r0][j] == 1:
-                for i in range(r0):
-                    if not filled[i][j]:
+        for j, v in zip(free, segs[r]):
+            grid[r][j] = v
+            if v == 1:
+                for i in range(r):
+                    if grid[i][j] is STAR:
                         grid[i][j] = 1
-                        filled[i][j] = True
-
-    for k in range(n, 0, -1):
-        place_row(k - 1, segs[k - 1])
-    for i in range(m):
-        for j in range(ell):
-            if not filled[i][j]:
-                grid[i][j] = STAR
     return ZeroOneMatrix(m, ell, tuple(tuple(r) for r in grid))
 
 
@@ -268,7 +248,7 @@ def f(M: ZeroOneMatrix) -> PositionPath:
         a.append(sum(1 for i in range(M.m) if M.entries[i][j] == 1))
     # column fill is top-down, so a_1 = 0 iff column 1 has no 1; maximality
     # holds because no 1 may appear in column 1 ahead of the leading 0
-    return PositionPath(max(M.m, 1), tuple(a))
+    return PositionPath(M.m, tuple(a))
 
 
 def f_inv(p: PositionPath) -> ZeroOneMatrix:
@@ -366,13 +346,9 @@ def enumerate_matrices(m, ell, max_contacts=None):
 # height shortcut
 
 
-def height_from_path(p: PositionPath):
-    """Height of the indexing partition, read off the maximal path directly."""
-    return height_from_positions(p.positions)
-
-
-def height_from_positions(a):
-    """height_from_path on the position tuple a_0..a_ell, unchecked.
+def height_from_path(a):
+    """Height of the partition that indexes the maximal path with position
+    tuple a = (a_0, ..., a_ell), read off the tuple directly, unchecked.
 
     With g = max position and j the last index attaining it:
     (g - 1) * ell + j - sum(positions).

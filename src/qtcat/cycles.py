@@ -8,6 +8,7 @@ produces the path's string; iterating left classifies a path as connected
 
 from __future__ import annotations
 
+from qtcat.bijections import f, g
 from qtcat.paths import PositionPath, max_area
 
 
@@ -104,6 +105,10 @@ def _left_orbit(a, m, decided):
 
 # ---------------------------------------------------------------------------
 # public operations on PositionPath
+#
+# One step at a time.  The lowest path, the end of a right orbit, is taken
+# on the position tuple alone: lowest_tuple above, or kernels.lowest_tuple,
+# which runs the C kernel when it was built.
 
 
 def point(p: PositionPath) -> int:
@@ -136,10 +141,6 @@ def left(p: PositionPath):
     return PositionPath(p.m, b)
 
 
-def lowest(p: PositionPath) -> PositionPath:
-    return PositionPath(p.m, lowest_tuple(p.positions, p.m))
-
-
 def is_connected(p: PositionPath) -> bool:
     """True when iterated left reaches a maximal path (a_1 == 0)."""
     return _left_orbit(p.positions, p.m, {})[1]
@@ -154,12 +155,6 @@ def string_of(lam, m):
     tuple of position tuples (a_0, ..., a_ell), ell = lam.bound + 1, each of
     degr |lam| and each one area above the one before.
 
-    Requires |lam| < (ell - 1) m where ell - 1 is the partition's part bound.
+    g raises ValueError unless |lam| < (ell - 1) m.
     """
-    from qtcat.bijections import f, g
-
-    ell = lam.bound + 1
-    if lam.size() >= (ell - 1) * m:
-        raise ValueError("partition size must be < (ell-1)m")
-    v = f(g(lam, m))
-    return tuple(_orbit(v.positions, v.m, right_tuple))
+    return tuple(_orbit(f(g(lam, m)).positions, m, right_tuple))

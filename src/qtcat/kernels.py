@@ -6,8 +6,9 @@ rational_census(n, s); the three (ell, m) kernels, which all take
 ellm_census_levels counts them, and in the same walk the shorter paths at
 every level below, ellm_paths_bounded lists them and ellm_maximal_bounded
 lists the maximal ones; and lowest_tuple(a, m), the
-end of the right orbit of a position tuple, which computation 1 walks (the
-pure-Python backend runs qtcat.cycles.lowest_tuple).  The C module
+end of the right orbit of a position tuple, which computation 1 and the
+projection check walk (the pure-Python backend runs
+qtcat.cycles.lowest_tuple).  The C module
 qtcat._speedups is built by setup.py whenever a C compiler and Python.h are
 present; otherwise qtcat._kernels_py runs.  This module checks every input
 before it dispatches, so both backends reject the same inputs with the same

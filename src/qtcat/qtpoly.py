@@ -97,9 +97,6 @@ class QtPolynomial:
         return cls({(d["q"], d["t"]): d["c"] for d in obj})
 
 
-ZERO = QtPolynomial()
-
-
 def monomial(q_exp, t_exp, coeff=1):
     return QtPolynomial({(q_exp, t_exp): coeff})
 

@@ -15,7 +15,7 @@ from qtcat.bijections import (
     bounded_partitions,
     f,
     g,
-    height_from_positions,
+    height_from_path,
 )
 from qtcat.paths import Record, max_area, max_area_rational
 from qtcat.qtpoly import QtPolynomial, sym_run
@@ -191,7 +191,7 @@ def computation1(m, dstar):
     witness = None
     for d, a in kernels.ellm_maximal_bounded(ell, m, dstar):
         checked += 1
-        h = height_from_positions(a)
+        h = height_from_path(a)
         low = kernels.lowest_tuple(a, m)
         if sum(low) > M - h - d:
             witness = {"positions": list(a), "degr": d, "lowest_area": sum(low)}
@@ -337,15 +337,19 @@ def verify_projection(lam: BoundedPartition, m):
     With lam = [p_0, ..., p_{ell-2}] and mu = [p_1, ..., p_{ell-2}]:
     lowest(f(g(lam))) = [0, a_1, ..., a_ell] forces a_1 = m - p_0 and
     lowest(f(g(mu))) = [a_1 - (m - p_0), ..., a_ell - (m - p_0)].
+    Each lowest path is the end of a right orbit, walked by the orbit kernel
+    kernels.lowest_tuple; (ell, m) must be within the kernels' limits, which
+    are checked before g builds its m x ell matrix.
     """
     ell = lam.bound + 1
     if lam.size() >= (ell - 2) * m:
         raise kernels.InputError("need |lam| < (ell-2)m")
+    kernels.check_ellm(ell, m, 0)
     ps = lam.multiplicities()
     p0 = ps[0]
     mu = BoundedPartition.from_multiplicities(ps[1:])
-    low_lam = cycles.lowest(f(g(lam, m))).positions
-    low_mu = cycles.lowest(f(g(mu, m))).positions
+    low_lam = kernels.lowest_tuple(f(g(lam, m)).positions, m)
+    low_mu = kernels.lowest_tuple(f(g(mu, m)).positions, m)
     shift = m - p0
     expected_mu = tuple(v - shift for v in low_lam[1:])
     ok = low_lam[1] == shift and low_mu == expected_mu

@@ -224,8 +224,8 @@ def test_criterion_7_worked_examples():
     mu = BoundedPartition((2, 1), 3)
     assert f(g(lam, 3)).positions == (0, 0, 2, 1, 2, 1)
     assert f(g(mu, 3)).positions == (0, 0, 1, 0, 1)
-    assert cycles.lowest(f(g(lam, 3))).positions == (0, 2, 5, 7, 9, 12)
-    assert cycles.lowest(f(g(mu, 3))).positions == (0, 3, 5, 7, 10)
+    assert cycles.lowest_tuple(f(g(lam, 3)).positions, 3) == (0, 2, 5, 7, 9, 12)
+    assert cycles.lowest_tuple(f(g(mu, 3)).positions, 3) == (0, 3, 5, 7, 10)
     report(7, "worked examples")
 
 

@@ -13,7 +13,6 @@ from qtcat.bijections import (
     g_inv,
     height,
     height_from_path,
-    height_from_positions,
     hook_rows,
     iota,
     ones,
@@ -257,13 +256,13 @@ def test_iota_exhaustive():
 
 
 def test_height_from_path():
-    assert height_from_path(PositionPath(3, (0, 0, 2, 1, 2, 1))) == 3
-    assert height_from_path(PositionPath(3, (0, 0, 0, 0))) == 0
+    assert height_from_path((0, 0, 2, 1, 2, 1)) == 3
+    assert height_from_path((0, 0, 0, 0)) == 0
     # in the ell=2 universe the degree-d maximal path indexes [1^d]
     for m in range(2, 5):
         for d in range(m):
             lam = BoundedPartition((1,) * d, 1)
-            assert height_from_path(f(g(lam, m))) == d
+            assert height_from_path(f(g(lam, m)).positions) == d
 
 
 def test_height_from_path_matches_bijections():
@@ -271,12 +270,11 @@ def test_height_from_path_matches_bijections():
         for m in range(1, 4):
             for lam in all_partitions_below(ell, m):
                 p = f(g(lam, m))
-                assert height_from_path(p) == height(lam)
-                assert height_from_path(p) == height(g_inv(f_inv(p)))
-                assert height_from_positions(p.positions) == height(lam)
+                assert height_from_path(p.positions) == height(lam)
+                assert height_from_path(p.positions) == height(g_inv(f_inv(p)))
 
 
-def test_height_from_positions_matches_the_scan_for_the_last_maximum():
+def test_height_from_path_matches_the_scan_for_the_last_maximum():
     # the last index of the maximum, against the index scan it replaced, on
     # every maximal path that computation 1 walks in basecase(1..20, 20)
     checked = 0
@@ -284,6 +282,6 @@ def test_height_from_positions_matches_the_scan_for_the_last_maximum():
         for _, a in kernels.ellm_maximal_bounded(verify.lstar(m, 20), m, 20):
             ell, greatest = len(a) - 1, max(a)
             j = max(i for i, v in enumerate(a) if v == greatest)
-            assert height_from_positions(a) == (greatest - 1) * ell + j - sum(a), a
+            assert height_from_path(a) == (greatest - 1) * ell + j - sum(a), a
             checked += 1
     assert checked == 13079

@@ -7,7 +7,7 @@ from qtcat.cycles import (
     cycleright_tuple,
     is_connected,
     left,
-    lowest,
+    lowest_tuple,
     pair,
     point,
     right,
@@ -98,12 +98,10 @@ def test_inverse_pair_exhaustive():
 
 
 def test_lowest_examples():
-    v = PositionPath(3, (0, 0, 2, 1, 2, 1))
-    assert lowest(v).positions == (0, 2, 5, 7, 9, 12)
-    w = PositionPath(3, (0, 0, 1, 0, 1))
-    assert lowest(w).positions == (0, 3, 5, 7, 10)
-    top = PositionPath(M5, (0, 4, 7, 7, 7, 8, 9, 13, 9, 12))
-    assert lowest(top).positions == top.positions  # already unrightable
+    assert lowest_tuple((0, 0, 2, 1, 2, 1), 3) == (0, 2, 5, 7, 9, 12)
+    assert lowest_tuple((0, 0, 1, 0, 1), 3) == (0, 3, 5, 7, 10)
+    top = (0, 4, 7, 7, 7, 8, 9, 13, 9, 12)
+    assert lowest_tuple(top, M5) == top  # already unrightable
 
 
 def areas(orbit, m):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from qtcat import _kernels_py, cycles, kernels, paths, verify
+from qtcat.bijections import bounded_partitions
 
 GOLDEN = Path(__file__).parent / "data" / "census_digests.json"
 
@@ -252,6 +253,29 @@ def test_lowest_tuple_orbit_past_the_area_range_raises(impl):
     # no path, but a tuple whose right orbit outruns the cap of max_area steps
     with pytest.raises(RuntimeError, match="orbit exceeded"):
         impl.lowest_tuple((-3, 1, -2), 1)
+
+
+# every partition within the projection rule |lam| < (ell-2)m at these
+# (ell, m), as (lam, m)
+PROJECTIONS = [
+    (lam, m)
+    for ell, m in ((4, 3), (5, 2), (6, 2))
+    for d in range((ell - 2) * m)
+    for lam in bounded_partitions(d, ell - 1)
+]
+
+
+@BACKENDS
+def test_projection_matches_the_tuple_orbit_oracle(impl, monkeypatch):
+    # verify_projection walks its two orbits in the orbit kernel; on either
+    # backend it gives the reports that cycles.lowest_tuple gives
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, "lowest_tuple", cycles.lowest_tuple)
+        expected = [verify.verify_projection(lam, m) for lam, m in PROJECTIONS]
+    monkeypatch.setattr(kernels, "_impl", impl)
+    got = [verify.verify_projection(lam, m) for lam, m in PROJECTIONS]
+    assert got == expected
+    assert all(r.verdict for r in got)
 
 
 # a census that could hold more than kernels.MAX_KEYS keys: every path of

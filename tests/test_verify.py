@@ -368,6 +368,19 @@ def test_projection_exhaustive():
         verify_projection(BoundedPartition((3, 3), 3), 2)  # size >= (ell-2)m
 
 
+def test_projection_checks_the_kernel_limits_before_g(monkeypatch):
+    # g builds an m x ell matrix; past the orbit kernel's (ell, m) limits
+    # the input is rejected before that
+    def g(lam, m):
+        raise AssertionError("g called past the kernel limits")
+
+    monkeypatch.setattr(verify, "g", g)
+    with pytest.raises(kernels.InputError, match="too large"):
+        verify_projection(BoundedPartition((4, 2, 1), 4), 2**40)
+    with pytest.raises(kernels.InputError, match="too large"):
+        verify_projection(BoundedPartition((), kernels.MAX_DEPTH - 1), 1)
+
+
 def test_input_rules_raise_input_error():
     # each rule has one owner; the command line exits 2 on InputError
     with pytest.raises(kernels.InputError):
