@@ -201,12 +201,12 @@ def cmd_strings(args):
     report = verify.verify_string_partition(ell, m, args.d)
     if args.format == "json":
         return _report_exit(report, args)
-    listed = report.detail["listed"]
 
     def line(a):
-        # the walk scored every tuple it listed at degree d; one outside that
-        # set shows only when the check fails, and is scored here
-        if a in listed:
+        # a passing check prints only tuples the walk listed at degree d (the
+        # strings are the connected ones); a failing one may print a string
+        # element of another degree, so there each tuple is scored here
+        if report.verdict:
             return _path_line(a, m, args.d)
         return _path_line(a, m, paths.degr_alpha(paths.PositionPath(m, a)))
 
@@ -237,6 +237,8 @@ def cmd_projection(args):
 
 
 def cmd_stats(args):
+    if args.slope and args.m is not None:
+        raise UsageError("stats takes --slope or --m, not both")
     try:
         if args.slope:
             n, s = _parse_slope(args.slope)

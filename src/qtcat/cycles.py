@@ -1,19 +1,17 @@
-"""Cycle maps on position-coordinate paths, strings, and connectivity.
+"""Cycle maps on position tuples, strings, and connectivity.
 
-right and left are mutually inverse maps that keep degr fixed and move area
-by +1 / -1.  Iterating right from a maximal path until it becomes unrightable
-produces the path's string; iterating left classifies a path as connected
-(reaches a maximal path) or disconnected (hits an unleftable path first).
+Every map here takes a position tuple a = (a_0, ..., a_ell) of an
+(ell, m)-path and its m.  right and left are mutually inverse maps that keep
+degr fixed and move area by +1 / -1.  Iterating right from a maximal path
+until it becomes unrightable produces the path's string; iterating left
+classifies a path as connected (reaches a maximal path) or disconnected (hits
+an unleftable path first): is_connected(a, m).
 """
 
 from __future__ import annotations
 
 from qtcat.bijections import f, g
-from qtcat.paths import PositionPath, max_area
-
-
-# ---------------------------------------------------------------------------
-# raw-tuple helpers (used by the heavier verification loops)
+from qtcat.paths import max_area
 
 
 def point_tuple(a, m):
@@ -56,8 +54,11 @@ def right_tuple(a, m):
 def left_tuple(a, m):
     """cycleleft at the pair, or None when unleftable.
 
-    Callers must not pass a maximal tuple (a_1 == 0); see left().
+    Maximal tuples (a_1 == 0) are a precondition violation, not "unleftable":
+    the map is only defined off the maximal set.
     """
+    if a[1] == 0:
+        raise ValueError("left is undefined on maximal paths")
     r = pair_tuple(a, m)
     if a[r + 1] - a[-1] > m + 1:
         return None
@@ -99,51 +100,14 @@ def _left_orbit(a, m, decided):
             return visited, decided[b]
         visited.append(b)
         if b[1] == 0:
-            return visited, True  # before the orbit applies left, undefined here
+            return visited, True  # before the orbit applies left, which raises here
     return visited, False
 
 
-# ---------------------------------------------------------------------------
-# public operations on PositionPath
-#
-# One step at a time.  The lowest path, the end of a right orbit, is taken
-# on the position tuple alone: lowest_tuple above, or kernels.lowest_tuple,
-# which runs the C kernel when it was built.
-
-
-def point(p: PositionPath) -> int:
-    return point_tuple(p.positions, p.m)
-
-
-def pair(p: PositionPath) -> int:
-    return pair_tuple(p.positions, p.m)
-
-
-def right(p: PositionPath):
-    """One right step, or None when unrightable."""
-    b = right_tuple(p.positions, p.m)
-    if b is None:
-        return None
-    return PositionPath(p.m, b)
-
-
-def left(p: PositionPath):
-    """One left step, or None when unleftable.
-
-    Maximal paths (a_1 = 0) are a precondition violation, not "unleftable":
-    the map is only defined off the maximal set.
-    """
-    if p.positions[1] == 0:
-        raise ValueError("left is undefined on maximal paths")
-    b = left_tuple(p.positions, p.m)
-    if b is None:
-        return None
-    return PositionPath(p.m, b)
-
-
-def is_connected(p: PositionPath) -> bool:
-    """True when iterated left reaches a maximal path (a_1 == 0)."""
-    return _left_orbit(p.positions, p.m, {})[1]
+def is_connected(a, m) -> bool:
+    """True when iterated left from the position tuple a reaches a maximal
+    tuple (a_1 == 0); a maximal tuple is connected itself."""
+    return _left_orbit(a, m, {})[1]
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,7 @@ class VerificationReport(Record):
     # detail holds what the check built, for the command line to print;
     # to_obj leaves it out.  verify_string_partition puts there its strings,
     # as (partition, orbit) pairs with the orbit a tuple of position tuples,
-    # the disconnected position tuples in walk order, and "listed": the set
-    # of every tuple the walk listed at degree d, connected or not, so a
-    # listing prints their degree without scoring them again
+    # and the disconnected position tuples in walk order
     __slots__ = ("params", "verdict", "lhs", "rhs", "witness", "counts", "detail")
 
     def __init__(
@@ -323,11 +321,7 @@ def verify_string_partition(ell, m, d):
             "disconnected": len(disconnected),
             "runtime": round(time.perf_counter() - t0, 3),
         },
-        detail={
-            "strings": strings,
-            "disconnected": disconnected,
-            "listed": connected.union(disconnected),
-        },
+        detail={"strings": strings, "disconnected": disconnected},
     )
 
 

@@ -53,7 +53,9 @@ def report(n, name):
     print("ACCEPTANCE %d %s: PASS" % (n, name))
 
 
-def test_criterion_1_golden_polynomial_5_3():
+@pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
+def test_criterion_1_golden_polynomial_5_3(impl, monkeypatch):
+    monkeypatch.setattr(kernels, "_impl", impl)
     t0 = time.perf_counter()
     got = verify.catalan_poly(5, 3)
     want = QtPolynomial(
@@ -64,7 +66,9 @@ def test_criterion_1_golden_polynomial_5_3():
     report(1, "golden polynomial 5/3")
 
 
-def test_criterion_2_golden_slice_13_8():
+@pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
+def test_criterion_2_golden_slice_13_8(impl, monkeypatch):
+    monkeypatch.setattr(kernels, "_impl", impl)
     t0 = time.perf_counter()
     lhs = verify.catalan_slice(13, 8, 19)
     coeffs = {(8 + i, 15 - i): c for i, c in enumerate([1, 3, 6, 8, 8, 6, 3, 1])}
@@ -124,7 +128,9 @@ def test_criterion_4_conjecture_sweep(sweep_on_impl):
     report(4, "conjecture sweep n*s <= 120 (%d slopes)" % len(pairs))
 
 
-def test_criterion_5_basecase_desk_scale():
+@pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
+def test_criterion_5_basecase_desk_scale(impl, monkeypatch):
+    monkeypatch.setattr(kernels, "_impl", impl)
     t0 = time.perf_counter()
     r = verify.basecase(range(1, 6), 5)
     assert r.verdict, r.witness
@@ -187,13 +193,12 @@ def test_criterion_7_worked_examples():
 
     rows = {}
     for k, a, (pr, pt) in CYCLE_TABLE:
-        pp = PositionPath(5, a)
-        assert (cycles.pair(pp), cycles.point(pp)) == (pr, pt), k
-        rows[k] = pp
+        assert (cycles.pair_tuple(a, 5), cycles.point_tuple(a, 5)) == (pr, pt), k
+        rows[k] = a
     for k in range(-5, 6):
-        assert cycles.right(rows[k]).positions == rows[k + 1].positions
-    assert cycles.right(rows[6]) is None
-    assert cycles.left(rows[-5]) is None
+        assert cycles.right_tuple(rows[k], 5) == rows[k + 1]
+    assert cycles.right_tuple(rows[6], 5) is None
+    assert cycles.left_tuple(rows[-5], 5) is None
 
     # matrix statistics example
     stats_matrix = ZeroOneMatrix.from_text(
@@ -234,18 +239,21 @@ def test_criterion_8_property_suites():
     for ell in range(1, 6):
         for m in range(1, 4):
             for p in enumerate_positions(ell, m):
-                r = cycles.right(p)
+                a = p.positions
+                r = cycles.right_tuple(a, m)
                 if r is not None:
-                    assert degr_alpha(r) == degr_alpha(p)
-                    assert area(r) == area(p) + 1
-                    assert cycles.left(r).positions == p.positions
+                    rp = PositionPath(m, r)
+                    assert degr_alpha(rp) == degr_alpha(p)
+                    assert area(rp) == area(p) + 1
+                    assert cycles.left_tuple(r, m) == a
                     checked["inverse"] += 1
                 if not is_maximal(p):
-                    l = cycles.left(p)
+                    l = cycles.left_tuple(a, m)
                     if l is not None:
-                        assert degr_alpha(l) == degr_alpha(p)
-                        assert area(l) == area(p) - 1
-                        assert cycles.right(l).positions == p.positions
+                        lp = PositionPath(m, l)
+                        assert degr_alpha(lp) == degr_alpha(p)
+                        assert area(lp) == area(p) - 1
+                        assert cycles.right_tuple(l, m) == a
                 # maximal low-degree paths never rise above m
                 if is_maximal(p) and degr_alpha(p) < (ell - 1) * m:
                     assert max(p.positions) <= m
@@ -292,8 +300,7 @@ def test_criterion_8_property_suites():
                 d = degr_delta(p)
                 if d >= (ell - 2) * m:
                     continue
-                pos = steps_to_positions(p)
-                if cycles.is_connected(pos):
+                if cycles.is_connected(steps_to_positions(p).positions, m):
                     continue
                 x0 = p.steps[0]
                 tail_steps = p.steps[1:ell]
@@ -301,7 +308,7 @@ def test_criterion_8_property_suites():
                     ell - 1, m, tail_steps + (m * ell - sum(tail_steps),)
                 )
                 assert degr_delta(tail) == d - x0 * (ell - 1)
-                assert not cycles.is_connected(steps_to_positions(tail))
+                assert not cycles.is_connected(steps_to_positions(tail).positions, m)
 
     # degree bounds of the two hypotheses-based claims
     for ell in range(3, 6):

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from qtcat.cli import _report_json, main
 from qtcat.qtpoly import QtPolynomial
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -241,8 +243,8 @@ def test_strings_at_benchmark_scale_match_golden_digest(capsys, monkeypatch, imp
 
 # `strings --ellm 2,4 --d 2` with a broken string: the string of [1, 1] runs
 # on into the first two paths of the degree-1 string [1], which the walk at
-# degree 2 never listed, so they print with the degree scored from their
-# positions; captured when every printed path was scored that way
+# degree 2 never listed; a failing check prints every path with the degree
+# scored from its positions, so those two print degree 1
 STRINGS_2_4_2_OFF_DEGREE = """\
 string [1, 1]:
   4,2,6  area=2, degr=2
@@ -321,6 +323,13 @@ def test_stats_m_zero_exits_2_on_the_path_rule(capsys):
     code, out, err = run_cli(capsys, "stats", "--path", "1,2", "--m", "0")
     assert (code, out) == (2, "")
     assert "m >= 1" in err
+
+
+def test_stats_rejects_slope_with_m(capsys):
+    # neither flag wins silently: the path is not read at all
+    code, out, err = run_cli(capsys, "stats", "--path", "1,1", "--m", "1", "--slope", "2/1")
+    assert (code, out) == (2, "")
+    assert err == "error: stats takes --slope or --m, not both\n"
 
 
 def test_stats_invalid_path(capsys):
@@ -455,3 +464,17 @@ def test_census_too_large_exits_2_before_any_walk(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "too large" in err
+
+
+def test_readme_command_line_examples_run(capsys, monkeypatch, speedups):
+    # every `qtcat ...` line of README's "Command line" code block, on C:
+    # verify --slope 17/12 and basecase --dstar 20 take minutes on pure Python
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("qtcat ")]
+    assert len(lines) >= 10
+    monkeypatch.setattr(kernels, "_impl", speedups)
+    for line in lines:
+        code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert (code, err) == (0, ""), line
+        assert out, line

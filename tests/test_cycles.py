@@ -6,11 +6,11 @@ from qtcat.cycles import (
     cycleleft_tuple,
     cycleright_tuple,
     is_connected,
-    left,
+    left_tuple,
     lowest_tuple,
-    pair,
-    point,
-    right,
+    pair_tuple,
+    point_tuple,
+    right_tuple,
     string_of,
 )
 from qtcat.paths import PositionPath, area, degr_alpha, enumerate_positions, is_maximal
@@ -40,31 +40,30 @@ CYCLE_TABLE = [
 
 def test_cycle_table_pair_point():
     for _, a, (pr, pt) in CYCLE_TABLE:
-        p = PositionPath(M5, a)
-        assert pair(p) == pr, a
-        assert point(p) == pt, a
+        assert pair_tuple(a, M5) == pr, a
+        assert point_tuple(a, M5) == pt, a
 
 
 def test_cycle_table_right_left_chain():
-    rows = {k: PositionPath(M5, a) for k, a, _ in CYCLE_TABLE}
+    rows = {k: a for k, a, _ in CYCLE_TABLE}
     for k in range(-5, 6):
-        assert right(rows[k]).positions == rows[k + 1].positions
+        assert right_tuple(rows[k], M5) == rows[k + 1]
     for k in range(6, -4, -1):
-        assert left(rows[k]).positions == rows[k - 1].positions
-    assert right(rows[6]) is None  # unrightable top
-    assert left(rows[-5]) is None  # unleftable bottom
+        assert left_tuple(rows[k], M5) == rows[k - 1]
+    assert right_tuple(rows[6], M5) is None  # unrightable top
+    assert left_tuple(rows[-5], M5) is None  # unleftable bottom
 
 
 def test_point_pair_trivia():
-    z = PositionPath(3, (0, 0, 0, 0))
-    assert point(z) == 0
-    assert pair(z) == 0
+    z = (0, 0, 0, 0)
+    assert point_tuple(z, 3) == 0
+    assert pair_tuple(z, 3) == 0
 
 
 def test_left_rejects_maximal():
-    z = PositionPath(3, (0, 0, 2, 1))
-    with pytest.raises(ValueError):
-        left(z)
+    z = (0, 0, 2, 1)
+    with pytest.raises(ValueError, match="left is undefined on maximal paths"):
+        left_tuple(z, 3)
 
 
 def test_cycle_tuple_identities():
@@ -83,18 +82,21 @@ def test_inverse_pair_exhaustive():
             if ell * m > 12:
                 continue
             for p in enumerate_positions(ell, m):
-                r = right(p)
+                a = p.positions
+                r = right_tuple(a, m)
                 if r is not None:
-                    assert not is_maximal(r)
-                    assert degr_alpha(r) == degr_alpha(p)
-                    assert area(r) == area(p) + 1
-                    assert left(r).positions == p.positions
+                    rp = PositionPath(m, r)
+                    assert not is_maximal(rp)
+                    assert degr_alpha(rp) == degr_alpha(p)
+                    assert area(rp) == area(p) + 1
+                    assert left_tuple(r, m) == a
                 if not is_maximal(p):
-                    l = left(p)
+                    l = left_tuple(a, m)
                     if l is not None:
-                        assert degr_alpha(l) == degr_alpha(p)
-                        assert area(l) == area(p) - 1
-                        assert right(l).positions == p.positions
+                        lp = PositionPath(m, l)
+                        assert degr_alpha(lp) == degr_alpha(p)
+                        assert area(lp) == area(p) - 1
+                        assert right_tuple(l, m) == a
 
 
 def test_lowest_examples():
@@ -114,7 +116,7 @@ def test_string_of_structure():
     assert areas(st, 3) == list(range(5, 24))
     assert all(degr_alpha(PositionPath(3, a)) == 5 for a in st)
     assert is_maximal(PositionPath(3, st[0]))
-    assert right(PositionPath(3, st[-1])) is None
+    assert right_tuple(st[-1], 3) is None
 
     lam2 = BoundedPartition.from_multiplicities([0, 0, 5])  # (1,1,1,1,1)
     st2 = string_of(lam2, 3)
@@ -164,15 +166,15 @@ def test_string_extendable_table_intervals():
 
 def test_is_connected():
     # red entries of the degree-5 slice at (4,3) are disconnected
-    assert not is_connected(PositionPath(3, (0, 3, 6, 9, 3)))
-    assert not is_connected(PositionPath(3, (0, 3, 4, 6, 9)))
+    assert not is_connected((0, 3, 6, 9, 3), 3)
+    assert not is_connected((0, 3, 4, 6, 9), 3)
     # maximal paths are trivially connected
-    assert is_connected(PositionPath(3, (0, 0, 2, 1)))
+    assert is_connected((0, 0, 2, 1), 3)
     # every D_{2,m}^d element for d < m is connected
     for m in range(1, 5):
         for p in enumerate_positions(2, m):
             if degr_alpha(p) < m:
-                assert is_connected(p)
+                assert is_connected(p.positions, m)
 
 
 def test_orbit_longer_than_the_area_range_raises():

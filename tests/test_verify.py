@@ -409,8 +409,7 @@ def test_takeoff_addon():
         d = paths.degr_delta(p)
         if d >= (ell - 2) * m:
             continue
-        pos = paths.steps_to_positions(p)
-        if cycles.is_connected(pos):
+        if cycles.is_connected(paths.steps_to_positions(p).positions, m):
             continue
         x0 = p.steps[0]
         dd = d - x0 * (ell - 1)
@@ -418,7 +417,7 @@ def test_takeoff_addon():
             ell - 1, m, p.steps[1:ell] + (m * ell - sum(p.steps[1:ell]),)
         )
         assert paths.degr_delta(tail) == dd
-        assert not cycles.is_connected(paths.steps_to_positions(tail))
+        assert not cycles.is_connected(paths.steps_to_positions(tail).positions, m)
         # addon direction
         back = paths.EllMPath(
             ell, m, (x0,) + tail.steps[: ell - 1]
