@@ -1,18 +1,21 @@
 /* Compiled enumeration kernels; same contract as qtcat._kernels_py.
  *
- * rational_census(n, s) walks the paths of a slope, with a gamma step that
- * reads a table of floor(nj/s) and divides nothing; the three (ell, m)
- * kernels, ellm_census_levels, ellm_paths_bounded and ellm_maximal_bounded,
- * all take (ell, m, dstar) and share one degree-pruned walk, which slides
- * the degree from one try to the next in O(1) over a histogram of the
- * earlier positions (of at most HIST_CAP entries); lowest_tuple(a, m)
- * iterates the cycle map right on one position tuple.  Each walk is an
- * iterative depth-first loop over int64 arrays sized to the instance.  The
- * census kernels count paths into growable open-addressed tables keyed by
- * degr * (M + 1) + area, whose size follows the number of distinct keys, and
- * make Python objects only when they return: rational_census counts the
- * leaves, ellm_census_levels every node at every level of the walk.  The
- * listing kernels append each path they keep to a Python list.
+ * rational_census(n, s) walks the paths of a slope and takes each node's
+ * degree step in O(1) from gamma tables its parent built (one row per later
+ * depth, indexed by the sum of the coordinates in between), dividing
+ * nothing; the three (ell, m) kernels, ellm_census_levels,
+ * ellm_paths_bounded and ellm_maximal_bounded, all take (ell, m, dstar) and
+ * share one degree-pruned walk, which slides the degree from one try to the
+ * next in O(1) over a histogram of the earlier positions (of at most
+ * HIST_CAP entries); lowest_tuple(a, m) iterates the cycle map right on one
+ * position tuple.  Each walk is an iterative depth-first loop over int64
+ * arrays sized to the instance.  The census kernels count paths by the key
+ * degr * (M + 1) + area and make Python objects only when they return:
+ * rational_census counts the leaves, into dense arrays over every key when
+ * there are at most DENSE_CAP possible keys and into growable open-addressed
+ * tables otherwise; ellm_census_levels counts every node at every level of
+ * the walk into such tables, whose size follows the number of distinct keys.
+ * The listing kernels append each path they keep to a Python list.
  *
  * Inputs are limited to slopes n/s with n * s < LIMIT ((ell, m)-paths are
  * the paths of slope (m(ell+1)+1)/(ell+1)).  Then every intermediate value,
@@ -155,7 +158,35 @@ gcd64(int64_t a, int64_t b)
 }
 
 /* ------------------------------------------------------------------------
- * rational_census(n, s) */
+ * rational_census(n, s)
+ *
+ * The walk fixes x_0, x_1, ..., x_{ell-1} depth by depth (x_ell is forced),
+ * and depth i adds to the degree the terms gamma_{k i}, k = 1..i:
+ *   gamma_{k i} = min(floor(|nu| / s), nu > 0 ? x_k : x_{k-1}),
+ * with the scaled beta numerator nu = sX - nj, X = x_k + ... + x_i and
+ * j = i - k + 1 in 1..s-1.  Coprimality makes nu nonzero, so with
+ * q = fl[j] = floor(nj/s): nu > 0 exactly when X > q, and then
+ * floor(nu/s) = X - q - 1, else floor(-nu/s) = q - X.  No division.
+ *
+ * For k <= j < r, gamma_{k r} depends on x_{j+1}, ..., x_r only through
+ * their sum u, and its caps x_{k-1}, x_k are fixed once x_0..x_j are.  So
+ * the node at depth j holds the gamma table
+ *   T_j[r][u] = sum over k = 1..j of gamma_{k r}, x_{j+1} + ... + x_r = u,
+ * for r = j+1..ell-1 and 0 <= u <= fl[r+1] - pref[j+1].  T_0 is 0, and
+ * each row comes from the parent's:
+ *   T_j[r][u] = T_{j-1}[r][u + x_j] + gamma_{j r} at X = u + x_j
+ * (caps x_{j-1}, x_j; q = fl[r-j+1]).  Depth i then takes its degree step
+ * T_{i-1}[i][x_i] + gamma_{i i} in O(1), and a row is built once per
+ * internal node and read by all its descendants.  The pure-Python walk
+ * keeps the O(i) sum as the oracle.
+ *
+ * A census whose (M+1)(M+2)/2 possible keys (degr + area <= M) are at most
+ * DENSE_CAP counts its leaves into two dense arrays indexed by the key
+ * degr * (M+1) + area, and folds them into the tables once, at the end; a
+ * thin slope past the cap counts into the tables. */
+
+/* the first clause of qtcat.kernels.check_slope */
+#define DENSE_CAP ((int64_t)1 << 20)
 
 static PyObject *
 rational_census(PyObject *self, PyObject *args, PyObject *kwds)
@@ -185,18 +216,32 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
         return census_result(&all, &max, M + 1);
     }
 
+    /* row r of T_j starts at T + row[r] + j (fl[r+1] + 1), for j = 0..r-1
+       and r = 1..ell-1; the rows of T_0 stay 0.  As r < 512 and
+       fl < 2**31, every count of cells stays below 2**50 in uint64 */
+    int64_t row[MAX_DEPTH];
+    uint64_t cells = 0;
+    for (int64_t r = 1; r < ell; r++) {
+        row[r] = (int64_t)cells;
+        cells += (uint64_t)r * (uint64_t)(n * (r + 1) / s + 1);
+    }
+    int64_t sq = (M + 1) * (M + 1);
+    int dense = (M + 1) * (M + 2) / 2 <= DENSE_CAP;
+    uint64_t size = 7 * (uint64_t)(ell + 1) + cells + (dense ? 2 * (uint64_t)sq : 0);
     /* per depth i: xs = x_i, pref = x_0 + ... + x_{i-1}, room = largest x_i,
        deg = degr of the prefix, w = sum (ell - k) x_k over k < i,
-       slk = min over k < i of n(k+1) - s*pref[k+1]; and fl[j] = floor(nj/s)
-       for j = 0..ell, where nj < ns < 2**31 */
-    int64_t *buf = PyMem_Calloc(7 * (size_t)(ell + 1), sizeof(int64_t));
+       slk = min over k < i of n(k+1) - s*pref[k+1]; fl[j] = floor(nj/s)
+       for j = 0..ell, where nj < ns < 2**31; then T and the dense counts */
+    int64_t *buf = size > SIZE_MAX / sizeof(int64_t)
+        ? NULL : PyMem_Calloc((size_t)size, sizeof(int64_t));
     if (buf == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
     int64_t *xs = buf, *pref = xs + ell + 1, *room = pref + ell + 1;
     int64_t *deg = room + ell + 1, *w = deg + ell + 1, *slk = w + ell + 1;
-    int64_t *fl = slk + ell + 1;
+    int64_t *fl = slk + ell + 1, *T = fl + ell + 1;
+    int64_t *count = dense ? T + cells : NULL; /* all, then max at + sq */
     for (int64_t j = 0; j <= ell; j++)
         fl[j] = n * j / s;
     uint64_t ticks = 0;
@@ -204,7 +249,6 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
     xs[0] = -1;
     room[0] = fl[1];
     slk[0] = n * s;
-    /* x_0..x_{ell-1} are walked; x_ell is forced */
     while (i >= 0) {
         if (interrupted(&ticks))
             goto fail_buf;
@@ -214,26 +258,36 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
             continue;
         }
         int64_t total = pref[i] + x, d = deg[i];
-        for (int64_t k = 1; k <= i; k++) {
-            /* gamma_{k i} = min(floor(|nu| / s), nu > 0 ? x_k : x_{k-1}) with
-               the scaled beta numerator nu = sX - nj, X = x_k + ... + x_i,
-               j = i - k + 1 in 1..s-1.  Coprimality makes nu nonzero, so
-               with q = floor(nj/s): nu > 0 exactly when X > q, and then
-               floor(nu/s) = X - q - 1, else floor(-nu/s) = q - X.  No
-               division and no branch on the data. */
-            int64_t X = total - pref[k], q = fl[i - k + 1], up = X > q;
-            int64_t g = X - q - up, cap = xs[k - 1 + up];
+        if (i > 0) {
+            /* T_{i-1}[i][x] + gamma_{i i}, where X = x and q = fl[1] */
+            int64_t up = x > fl[1], g = x - fl[1] - up, cap = up ? x : xs[i - 1];
             g = g < 0 ? -g : g;
-            d += g < cap ? g : cap;
+            d += T[row[i] + (i - 1) * (fl[i + 1] + 1) + x] + (g < cap ? g : cap);
         }
         int64_t slack = n * (i + 1) - s * total;
         int64_t minslack = slack < slk[i] ? slack : slk[i];
         int64_t wi = w[i] + (ell - i) * x;
         if (i == ell - 1) {
             int64_t key = d * (M + 1) + (M - wi);
-            if (table_add(&all, key, 1) < 0 || (minslack == 1 && table_add(&max, key, 1) < 0))
+            if (count != NULL) {
+                count[key]++;
+                count[sq + key] += minslack == 1;
+            } else if (table_add(&all, key, 1) < 0
+                       || (minslack == 1 && table_add(&max, key, 1) < 0)) {
                 goto fail_buf;
+            }
             continue;
+        }
+        if (i > 0) { /* T_i from T_{i-1}, the row before each of its rows */
+            for (int64_t r = i + 1; r < ell; r++) {
+                int64_t len = fl[r + 1] + 1, q = fl[r - i + 1], c0 = xs[i - 1];
+                int64_t *t = T + row[r] + i * len;
+                for (int64_t u = 0; u < len - total; u++) {
+                    int64_t X = u + x, up = X > q, g = X - q - up, cap = up ? x : c0;
+                    g = g < 0 ? -g : g;
+                    t[u] = t[u + x - len] + (g < cap ? g : cap);
+                }
+            }
         }
         i++;
         xs[i] = -1;
@@ -243,6 +297,10 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
         w[i] = wi;
         slk[i] = minslack;
     }
+    for (int64_t key = 0; count != NULL && key < sq; key++)
+        if ((count[key] != 0 && table_add(&all, key, count[key]) < 0)
+                || (count[sq + key] != 0 && table_add(&max, key, count[sq + key]) < 0))
+            goto fail_buf;
     PyMem_Free(buf);
     return census_result(&all, &max, M + 1);
 

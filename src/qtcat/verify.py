@@ -67,17 +67,39 @@ def _lhs_from_census(all_counts, M):
     return QtPolynomial({(a, M - d - a): c for (d, a), c in all_counts.items()})
 
 
+def _rhs_steps(max_counts, M, steps, sign):
+    """Add to steps, keyed (d, j), sign times the first differences in the
+    area j of the right side's slices, and return steps.  A maximal-path key
+    (d, a) with count c adds sym(a, M-d-a), which sym_run gives as a signed
+    run lo..hi: it steps by its signed c at lo and back at hi + 1."""
+    for (d, a), c in max_counts.items():
+        lo, hi, run_sign = sym_run(a, M - d - a)
+        c *= sign * run_sign
+        key = d, lo
+        steps[key] = steps.get(key, 0) + c
+        key = d, hi + 1
+        steps[key] = steps.get(key, 0) - c
+    return steps
+
+
+def _runs(steps):
+    """(d, lo, hi, value) for each stretch lo <= j < hi of a slice on which
+    the prefix sum in j of steps is a nonzero value.  The steps of a slice
+    sum to 0, so the running sum is 0 again where the next slice starts."""
+    value = 0
+    for (d, j), c in sorted(steps.items()):
+        if value:
+            yield d, lo, j, value
+        value += c
+        lo = j
+
+
 def _rhs_from_census(max_counts, M):
     """The right side, whole, from the maximal paths' count table: the sum
-    of sym(area, M-d-area), each sym added straight into rhs as its run."""
+    of sym(area, M-d-area), as the prefix sums of its steps."""
     rhs = {}
-    for (d, a), c in max_counts.items():
-        T = M - d
-        lo, hi, sign = sym_run(a, T - a)
-        c *= sign
-        for j in range(lo, hi + 1):
-            key = (j, T - j)
-            rhs[key] = rhs.get(key, 0) + c
+    for d, lo, hi, c in _runs(_rhs_steps(max_counts, M, {}, 1)):
+        rhs.update(((j, M - d - j), c) for j in range(lo, hi))
     return QtPolynomial(rhs)
 
 
@@ -100,22 +122,14 @@ def _witness(all_counts, max_counts, M):
     for (d, a), c in all_counts.items():
         key = d, a + 1
         steps[key] = steps.get(key, 0) - c
-    for (d, a), c in max_counts.items():
-        lo, hi, sign = sym_run(a, M - d - a)
-        key = d, lo
-        steps[key] = steps.get(key, 0) - sign * c
-        key = d, hi + 1
-        steps[key] = steps.get(key, 0) + sign * c
+    _rhs_steps(max_counts, M, steps, -1)
     if not any(steps.values()):
         return None
     d = min(dd for (dd, _), c in steps.items() if c)
-    row = sorted(j for (dd, j), c in steps.items() if dd == d and c)
-    difference, value = [], 0
-    # the steps of a slice sum to 0, so the difference ends at the last one
-    for j, nxt in zip(row, row[1:]):
-        value += steps[d, j]
-        if value:
-            difference += ({"q": i, "t": M - d - i, "c": value} for i in range(j, nxt))
+    row = {key: c for key, c in steps.items() if key[0] == d}
+    difference = [
+        {"q": j, "t": M - d - j, "c": c} for _, lo, hi, c in _runs(row) for j in range(lo, hi)
+    ]
     return {"d": d, "difference": difference}
 
 
@@ -172,7 +186,9 @@ def check_conjecture(n, s):
 
 
 def lstar(m, dstar):
-    """min { ell : m(ell-1) > dstar }."""
+    """min { ell : m(ell-1) > dstar }, which exists for m >= 1 only."""
+    if m < 1:
+        raise kernels.InputError("ell and m must be positive")
     return dstar // m + 2
 
 
@@ -239,10 +255,9 @@ def basecase(m_values, dstar):
         raise kernels.InputError("need at least one m")
     # every walk fits the kernels before the first one runs: the largest for
     # each m is at ell = lstar, and the largest m goes first, so a range far
-    # past the kernels' limits fails at once; an m below 1 has no lstar, and
-    # check_ellm rejects it on m alone
+    # past the kernels' limits fails at once; lstar rejects an m below 1
     for m in reversed(m_values):
-        kernels.check_ellm(lstar(max(m, 1), dstar), m, dstar)
+        kernels.check_ellm(lstar(m, dstar), m, dstar)
     m_values = list(m_values)
     r1 = [computation1(m, dstar) for m in m_values]
     r2 = [computation2(m, dstar) for m in m_values]

@@ -6,6 +6,11 @@ from this tree."""
 import hashlib
 import json
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from functools import lru_cache
 from math import comb, gcd
 from pathlib import Path
@@ -229,6 +234,44 @@ def test_division_free_gamma_step():
 def test_thin_slopes_match_python(speedups, n, s):
     # M = 10,000 and 1,000, but only 10,001 and 167,501 paths
     assert speedups.rational_census(n, s) == _kernels_py.rational_census(n, s)
+
+
+# The C census counts its leaves into dense arrays when the (M+1)(M+2)/2
+# possible keys are at most 2**20, the first clause of check_slope, and into
+# growable tables past that.  At n/3, M = n - 1: 1447/3 has 1,047,628
+# possible keys (dense) and 1450/3 has 1,051,975 (tables).
+@pytest.mark.parametrize("n", [1447, 1450])
+def test_census_on_each_side_of_the_dense_cap(speedups, n):
+    assert speedups.rational_census(n, 3) == _kernels_py.rational_census(n, 3)
+
+
+def test_long_c_census_answers_sigint(speedups):
+    # 29/20 has about 5.8 * 10**11 paths, hours of walking; the walk checks
+    # for signals every 2**20 nodes, so ^C ends it at once
+    child = textwrap.dedent("""
+        import importlib.util, sys
+        spec = importlib.util.spec_from_file_location("qtcat._speedups", sys.argv[1])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        print("walking", flush=True)
+        try:
+            module.rational_census(29, 20)
+        except KeyboardInterrupt:
+            print("KeyboardInterrupt", flush=True)
+    """)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", child, speedups.__file__], stdout=subprocess.PIPE, text=True
+    )
+    try:
+        assert proc.stdout.readline() == "walking\n"
+        time.sleep(0.5)
+        assert proc.poll() is None, "the walk ended before the signal"
+        proc.send_signal(signal.SIGINT)
+        out, _ = proc.communicate(timeout=2)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert out == "KeyboardInterrupt\n"
 
 
 def test_c_lowest_tuple_matches_the_tuple_orbit(speedups):

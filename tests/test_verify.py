@@ -253,6 +253,13 @@ def test_lstar():
         assert lstar(m, 20) == int(ceil(20 / m + 1.001))
 
 
+def test_computations_reject_m_below_one():
+    # m = 0 has no lstar, so neither computation has a level to walk
+    for computation in (computation1, computation2):
+        with pytest.raises(kernels.InputError, match="ell and m must be positive"):
+            computation(0, 5)
+
+
 def test_computations_small():
     for m in range(1, 6):
         assert computation1(m, 5).verdict
