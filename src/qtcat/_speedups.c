@@ -11,10 +11,10 @@
  * position tuple.  Each walk is an iterative depth-first loop over int64
  * arrays sized to the instance.  The census kernels count paths by the key
  * degr * (M + 1) + area and make Python objects only when they return:
- * rational_census counts the leaves, into dense arrays over every key when
- * there are at most DENSE_CAP possible keys and into growable open-addressed
- * tables otherwise; ellm_census_levels counts every node at every level of
- * the walk into such tables, whose size follows the number of distinct keys.
+ * rational_census counts the leaves, into dense rows of keys when its paths
+ * outnumber its possible keys and into growable open-addressed tables
+ * otherwise; ellm_census_levels counts every node at every level of the
+ * walk into such tables, whose size follows the number of distinct keys.
  * The listing kernels append each path they keep to a Python list.
  *
  * Inputs are limited to slopes n/s with n * s < LIMIT ((ell, m)-paths are
@@ -180,13 +180,37 @@ gcd64(int64_t a, int64_t b)
  * internal node and read by all its descendants.  The pure-Python walk
  * keeps the O(i) sum as the oracle.
  *
- * A census whose (M+1)(M+2)/2 possible keys (degr + area <= M) are at most
- * DENSE_CAP counts its leaves into two dense arrays indexed by the key
- * degr * (M+1) + area, and folds them into the tables once, at the end; a
- * thin slope past the cap counts into the tables. */
+ * A leaf is counted by its key degr * (M+1) + area, degr + area <= M.  The
+ * tables pay a hash for every path; dense rows of M + 1 keys, grown to the
+ * largest degr met and folded into the tables once at the end, pay for
+ * every key they hold.  So a census counts densely when its paths,
+ * C(n+s, s)/(n+s), are at least its (M+1)(M+2)/2 possible keys (17/12:
+ * 1,789,515 paths for 4,005 keys), and into the tables otherwise (every
+ * n/2 and n/3 past n = 1: 1447/3 has 349,692 paths for 1,047,628 keys). */
 
-/* the first clause of qtcat.kernels.check_slope */
+/* a memory bound only, 2 (M+1)**2 int64 or 33.5 MB at M = 1446: a slope
+   that qtcat.kernels.check_slope admits and whose paths outnumber its keys
+   has at most 2**20 keys, so the cap binds only callers that skip it */
 #define DENSE_CAP ((int64_t)1 << 20)
+
+/* make room in the dense rows for degree d, which is at most M: at least
+   double the rows, zero the new ones, raise MemoryError if refused */
+static int
+grow_rows(int64_t **count, int64_t *rows, int64_t d, int64_t M)
+{
+    int64_t want = 2 * *rows > d + 1 ? 2 * *rows : d + 1;
+    want = want < M + 1 ? want : M + 1;
+    int64_t *grown = PyMem_Realloc(*count, (size_t)(2 * want * (M + 1)) * sizeof(int64_t));
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(grown + 2 * *rows * (M + 1), 0,
+           (size_t)(2 * (want - *rows) * (M + 1)) * sizeof(int64_t));
+    *count = grown;
+    *rows = want;
+    return 0;
+}
 
 static PyObject *
 rational_census(PyObject *self, PyObject *args, PyObject *kwds)
@@ -225,13 +249,11 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
         row[r] = (int64_t)cells;
         cells += (uint64_t)r * (uint64_t)(n * (r + 1) / s + 1);
     }
-    int64_t sq = (M + 1) * (M + 1);
-    int dense = (M + 1) * (M + 2) / 2 <= DENSE_CAP;
-    uint64_t size = 7 * (uint64_t)(ell + 1) + cells + (dense ? 2 * (uint64_t)sq : 0);
+    uint64_t size = 7 * (uint64_t)(ell + 1) + cells;
     /* per depth i: xs = x_i, pref = x_0 + ... + x_{i-1}, room = largest x_i,
        deg = degr of the prefix, w = sum (ell - k) x_k over k < i,
        slk = min over k < i of n(k+1) - s*pref[k+1]; fl[j] = floor(nj/s)
-       for j = 0..ell, where nj < ns < 2**31; then T and the dense counts */
+       for j = 0..ell, where nj < ns < 2**31; then T */
     int64_t *buf = size > SIZE_MAX / sizeof(int64_t)
         ? NULL : PyMem_Calloc((size_t)size, sizeof(int64_t));
     if (buf == NULL) {
@@ -241,9 +263,16 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
     int64_t *xs = buf, *pref = xs + ell + 1, *room = pref + ell + 1;
     int64_t *deg = room + ell + 1, *w = deg + ell + 1, *slk = w + ell + 1;
     int64_t *fl = slk + ell + 1, *T = fl + ell + 1;
-    int64_t *count = dense ? T + cells : NULL; /* all, then max at + sq */
     for (int64_t j = 0; j <= ell; j++)
         fl[j] = n * j / s;
+    int64_t keys = (M + 1) * (M + 2) / 2;
+    double paths = 1.0 / (double)(n + s); /* C(n+s, s) / (n+s) */
+    for (int64_t k = 1; k <= s; k++)
+        paths = paths * (double)(n + k) / (double)k;
+    int dense = keys <= DENSE_CAP && paths >= (double)keys;
+    /* the dense rows hold the count of key degr * (M+1) + area at 2 key
+       and its count of maximal paths at 2 key + 1, for degr < rows */
+    int64_t *count = NULL, rows = 0;
     uint64_t ticks = 0;
     int64_t i = 0;
     xs[0] = -1;
@@ -269,9 +298,11 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
         int64_t wi = w[i] + (ell - i) * x;
         if (i == ell - 1) {
             int64_t key = d * (M + 1) + (M - wi);
-            if (count != NULL) {
-                count[key]++;
-                count[sq + key] += minslack == 1;
+            if (dense) {
+                if (d >= rows && grow_rows(&count, &rows, d, M) < 0)
+                    goto fail_buf;
+                count[2 * key]++;
+                count[2 * key + 1] += minslack == 1;
             } else if (table_add(&all, key, 1) < 0
                        || (minslack == 1 && table_add(&max, key, 1) < 0)) {
                 goto fail_buf;
@@ -297,15 +328,20 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
         w[i] = wi;
         slk[i] = minslack;
     }
-    for (int64_t key = 0; count != NULL && key < sq; key++)
-        if ((count[key] != 0 && table_add(&all, key, count[key]) < 0)
-                || (count[sq + key] != 0 && table_add(&max, key, count[sq + key]) < 0))
-            goto fail_buf;
+    /* fold the cells a leaf can have written: degr < rows, area <= M - degr */
+    for (int64_t d = 0; d < rows; d++)
+        for (int64_t key = d * (M + 1); key <= d * (M + 1) + M - d; key++)
+            if ((count[2 * key] != 0 && table_add(&all, key, count[2 * key]) < 0)
+                    || (count[2 * key + 1] != 0
+                        && table_add(&max, key, count[2 * key + 1]) < 0))
+                goto fail_buf;
     PyMem_Free(buf);
+    PyMem_Free(count);
     return census_result(&all, &max, M + 1);
 
 fail_buf:
     PyMem_Free(buf);
+    PyMem_Free(count);
 fail:
     table_free(&all);
     table_free(&max);

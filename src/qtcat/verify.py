@@ -255,9 +255,10 @@ def basecase(m_values, dstar):
         raise kernels.InputError("need at least one m")
     # every walk fits the kernels before the first one runs: the largest for
     # each m is at ell = lstar, and the largest m goes first, so a range far
-    # past the kernels' limits fails at once; lstar rejects an m below 1
+    # past the kernels' limits fails at once; an m below 1 has no lstar, and
+    # check_ellm names a bad dstar before it rejects that m
     for m in reversed(m_values):
-        kernels.check_ellm(lstar(m, dstar), m, dstar)
+        kernels.check_ellm(lstar(m, dstar) if m >= 1 else 0, m, dstar)
     m_values = list(m_values)
     r1 = [computation1(m, dstar) for m in m_values]
     r2 = [computation2(m, dstar) for m in m_values]

@@ -236,13 +236,15 @@ def test_thin_slopes_match_python(speedups, n, s):
     assert speedups.rational_census(n, s) == _kernels_py.rational_census(n, s)
 
 
-# The C census counts its leaves into dense arrays when the (M+1)(M+2)/2
-# possible keys are at most 2**20, the first clause of check_slope, and into
-# growable tables past that.  At n/3, M = n - 1: 1447/3 has 1,047,628
-# possible keys (dense) and 1450/3 has 1,051,975 (tables).
-@pytest.mark.parametrize("n", [1447, 1450])
-def test_census_on_each_side_of_the_dense_cap(speedups, n):
-    assert speedups.rational_census(n, 3) == _kernels_py.rational_census(n, 3)
+# The C census counts its leaves into dense rows when its paths, C(n+s, s) /
+# (n+s), are at least its (M+1)(M+2)/2 possible keys, and into growable
+# tables otherwise.  19/4 has 385 paths for 406 keys (tables), 21/4 has 506
+# for 496 (dense), and 9/5 (143 for 153) and 11/5 (273 for 231) likewise;
+# 101/4 grows its dense rows several times, and every n/3 (here 1447/3:
+# 349,692 paths for 1,047,628 keys) takes the tables.
+@pytest.mark.parametrize("n, s", [(19, 4), (21, 4), (9, 5), (11, 5), (101, 4), (1447, 3)])
+def test_census_on_each_side_of_the_dense_choice(speedups, n, s):
+    assert speedups.rational_census(n, s) == _kernels_py.rational_census(n, s)
 
 
 def test_long_c_census_answers_sigint(speedups):

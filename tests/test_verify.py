@@ -258,6 +258,9 @@ def test_computations_reject_m_below_one():
     for computation in (computation1, computation2):
         with pytest.raises(kernels.InputError, match="ell and m must be positive"):
             computation(0, 5)
+    # basecase names a negative dstar first, before the m it cannot use
+    with pytest.raises(kernels.InputError, match="dstar must be >= 0"):
+        basecase([0], -1)
 
 
 def test_computations_small():
