@@ -7,7 +7,9 @@ of a slope by (degr, area).  The three (ell, m) kernels all take (ell, m,
 dstar) and share one degree-pruned walk: ellm_census_levels counts the paths
 with degr <= dstar by (degr, area) at every level 1..ell of that walk,
 ellm_paths_bounded lists them and ellm_maximal_bounded lists the maximal
-ones.  The fifth kernel,
+ones.  The fifth, catalan_census_levels(ell, dstar), returns
+ellm_census_levels(ell, 1, dstar) with the all_counts from the
+Garsia-Haglund recursion and walks only the maximal paths.  The sixth,
 lowest_tuple(a, m), the end of a right orbit, is qtcat.cycles.lowest_tuple
 itself.  A compiled twin with identical signatures lives in qtcat._speedups;
 qtcat.kernels picks whichever is importable.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from qtcat.cycles import lowest_tuple  # noqa: F401 - the fifth kernel
+from qtcat.cycles import lowest_tuple  # noqa: F401 - the sixth kernel
 from qtcat.paths import alpha
 
 BACKEND = "python"
@@ -131,6 +133,70 @@ def ellm_census_levels(ell, m, dstar):
             max_counts[key] = max_counts.get(key, 0) + 1
 
     _ellm_walk(ell, m, m, dstar, count, 1)
+    return levels
+
+
+def catalan_census_levels(ell, dstar):
+    """What ellm_census_levels(ell, 1, dstar) returns, with every level's
+    all_counts from the Garsia-Haglund recursion (Discrete Math. 256, 2002)
+    cut at dstar instead of a walk.
+
+    Level i counts the Dyck paths of size n = i + 1, whose sum of
+    q^dinv t^area is C_n = F_{n,1} + ... + F_{n,n} with F_{n,n} = q^C(n,2)
+    and F_{n,k} = t^(n-k) q^C(k,2) sum_{r=1}^{n-k} [r+k-1 choose r]_q
+    F_{n-k,r}; a term q^a t^b counts under (degr, area) =
+    (C(n,2) - a - b, b).  A term of F_{n-k,r} of degr d times q^j from the
+    q-binomial, 0 <= j <= r(k-1), gives a term of F_{n,k} of area b + n - k
+    and, as C(n,2) = C(k,2) + C(n-k,2) + k(n-k), of degr
+    d + (k-1)(n-k) - j = d + (k-1)(n-k-r) + i with i = r(k-1) - j >= 0.  No
+    step lowers the degree, so the recursion keeps only terms of degr
+    <= dstar: term r adds nothing when d + (k-1)(n-k-r) > dstar, and
+    otherwise only i <= dstar - d - (k-1)(n-k-r).  ((k-1)(n-k) alone is no
+    lower bound on a step, as j reaches r(k-1).)  The q-binomial is
+    palindromic, so the coefficient of q^j is co[i], the number of
+    partitions of i into at most r parts of size at most k - 1, kept for
+    i <= dstar and stepped from r - 1 to r by (1 - q^(r+k-1)) / (1 - q^r).
+
+    max_counts come from one walk of the maximal paths.  The C kernel
+    checks every sum and product for int64 overflow; here the counts are
+    Python integers.
+    """
+    levels = [({}, {}) for _ in range(ell)]
+
+    def count_max(i, d, ar, a):
+        max_counts = levels[i - 1][1]
+        max_counts[d, ar] = max_counts.get((d, ar), 0) + 1
+
+    _ellm_walk(ell, 1, 0, dstar, count_max, 1)
+    # no level i <= ell has a path of degr above C(ell+1, 2)
+    dstar = min(dstar, ell * (ell + 1) // 2)
+    # F[n][k][d] maps the area b of each term of F_{n,k} of degr d to its
+    # coefficient, for d <= min(dstar, C(n, 2)); n and k count from 1
+    F = [None, [None, [{0: 1}]]]
+    for n in range(2, ell + 2):
+        depth = min(dstar, n * (n - 1) // 2) + 1
+        row = [None] + [[{} for _ in range(depth)] for _ in range(n)]
+        row[n][0][0] = 1
+        for k in range(1, n):
+            c, s = k - 1, n - k
+            co = [1] + [0] * dstar
+            for r in range(1, s + 1):
+                for i in range(dstar, r + c - 1, -1):
+                    co[i] -= co[i - r - c]
+                for i in range(r, dstar + 1):
+                    co[i] += co[i - r]
+                low = c * (s - r)
+                for d, cells in enumerate(F[s][r][: dstar - low + 1]):
+                    for i in range(min(r * c, dstar - d - low) + 1):
+                        out, x = row[k][d + low + i], co[i]
+                        for b, count in cells.items():
+                            out[b + s] = out.get(b + s, 0) + count * x
+        F.append(row)
+        all_counts = levels[n - 2][0]
+        for table in row[1:]:
+            for d, cells in enumerate(table):
+                for b, count in cells.items():
+                    all_counts[d, b] = all_counts.get((d, b), 0) + count
     return levels
 
 

@@ -8,9 +8,12 @@
  * share one degree-pruned walk, which slides the degree from one try to the
  * next in O(1) over a histogram of the earlier positions (of at most
  * HIST_CAP entries); lowest_tuple(a, m) iterates the cycle map right on one
- * position tuple.  Each walk is an iterative depth-first loop over int64
- * arrays sized to the instance.  The census kernels count paths by the key
- * degr * (M + 1) + area and make Python objects only when they return:
+ * position tuple; catalan_census_levels(ell, dstar) is ellm_census_levels
+ * at m = 1 with the path counts from the Garsia-Haglund recursion, cut at
+ * dstar, and a walk of the maximal paths only.  Each walk is an iterative
+ * depth-first loop over int64 arrays sized to the instance.  The census
+ * kernels count paths by the key degr * (M + 1) + area and make Python
+ * objects only when they return:
  * rational_census counts the leaves, into dense rows of keys when its paths
  * outnumber its possible keys and into growable open-addressed tables
  * otherwise; ellm_census_levels counts every node at every level of the
@@ -399,9 +402,9 @@ enum leaf { COUNT, LIST };
    exceeds dstar is cut (sound because no step lowers the degree).  The
    nodes the walk enters at level i are then exactly the (i, m)-paths with
    degr <= dstar.  COUNT counts each of them, at every level i, into
-   all[i - 1] (and max[i - 1] when a_1 = 0) under the key degr * width +
-   area, with the width of level ell; LIST appends (degr, positions) of each
-   path at level ell to out.
+   all[i - 1] (unless all is NULL) and max[i - 1] when a_1 = 0, under the
+   key degr * width + area, with the width of level ell; LIST appends
+   (degr, positions) of each path at level ell to out.
 
    The degree of a try a_i = v is
      d(v) = degr(a_1..a_{i-1}) - max(v - m, 0) + sum over k < i of alpha(a_k, v).
@@ -483,7 +486,7 @@ ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar,
             continue;
         if (leaf == COUNT) {
             int64_t key = d * width + ar[i] + v;
-            if (table_add(&all[i - 1], key, 1) < 0
+            if ((all != NULL && table_add(&all[i - 1], key, 1) < 0)
                     || (a[1] == 0 && table_add(&max[i - 1], key, 1) < 0))
                 goto fail;
         }
@@ -588,6 +591,214 @@ ellm_maximal_bounded(PyObject *self, PyObject *args, PyObject *kwds)
 }
 
 /* ------------------------------------------------------------------------
+ * catalan_census_levels(ell, dstar): what ellm_census_levels(ell, 1, dstar)
+ * returns, with the all_counts of every level from the Garsia-Haglund
+ * recursion (Discrete Math. 256, 2002) instead of a walk.
+ *
+ * Level i counts the (i, 1)-paths, the Dyck paths of size n = i + 1, and
+ * their sum of q^dinv t^area is C_n = F_{n,1} + ... + F_{n,n} with
+ *   F_{n,n} = q^C(n,2),
+ *   F_{n,k} = t^(n-k) q^C(k,2) sum_{r=1}^{n-k} [r+k-1 choose r]_q F_{n-k,r};
+ * a term q^a t^b of C_n counts under the key (degr, area) =
+ * (C(n,2) - a - b, b).  A term of F_{n-k,r} of degr d' times q^j from the
+ * q-binomial, 0 <= j <= r(k-1), is a term of F_{n,k} of area b' + n - k
+ * and, as C(n,2) = C(k,2) + C(n-k,2) + k(n-k), of degr
+ *   d' + (k-1)(n-k) - j = d' + (k-1)(n-k-r) + i,  i = r(k-1) - j >= 0.
+ * So no step lowers the degree: the terms of degr <= dstar come from terms
+ * of degr <= dstar only, term r adds nothing when d' + (k-1)(n-k-r) >
+ * dstar, and otherwise only i <= dstar - d' - (k-1)(n-k-r), that is
+ * j >= d' + (k-1)(n-k) - dstar.  (k-1)(n-k) alone is no lower bound: j
+ * reaches r(k-1).  The q-binomial is palindromic, so the coefficient of q^j
+ * is that of q^i, the partitions of i into at most r parts of size at most
+ * k - 1; the kernel keeps them for i <= dstar and steps r up by
+ * (1 - q^(r+k-1)) / (1 - q^r).  Each term's area moves by n - k whatever i
+ * is, so a row of F_{n-k,r} (one degr) adds to a row of F_{n,k} shifted by
+ * n - k, times one coefficient.  As [r choose r]_q = 1, F_{n+1,1} is
+ * t^n C_n, and the kernel reads C_n off it.
+ *
+ * F_{n,k} keeps a row for each degr 0..min(dstar, C(n,2)), over the areas
+ * it reaches; a first pass over the terms takes each row's span, a second
+ * fills it.  The cells share one arena grown by doubling, and the rows
+ * grow with n: at lstar(1, 15) = 17 they are 20,674 cells (an arena of
+ * 32,768, 256 KB) and 2,612 rows (63 KB).  Every count and coefficient is
+ * summed and multiplied with overflow checks, so a count above 2**63 - 1
+ * raises OverflowError rather than wrap; below ell = 35 none can, each
+ * being at most Catalan(35).  max_counts come from one walk of the maximal
+ * paths, the (ell, 1) walk from a_1 = 0. */
+
+/* the areas lo..hi of one row of F_{n,k}, at cells + off; empty while
+   hi < lo */
+typedef struct {
+    int64_t lo, hi, off;
+} Row;
+
+/* *acc += a * b, or OverflowError */
+static int
+add_product(int64_t *acc, int64_t a, int64_t b)
+{
+    int64_t p;
+    if (__builtin_mul_overflow(a, b, &p) || __builtin_add_overflow(*acc, p, acc)) {
+        PyErr_SetString(PyExc_OverflowError,
+                        "catalan_census_levels: a count exceeds 2**63 - 1");
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+catalan_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"ell", "dstar", NULL};
+    long long e, ds;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LL:catalan_census_levels", kwlist, &e, &ds))
+        return NULL;
+    if (!ellm_fits(e, 1) || ds < 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "(ell, dstar) = (%lld, %lld): need ell >= 1, dstar >= 0 and ell < %d",
+                     e, ds, MAX_DEPTH);
+        return NULL;
+    }
+    /* no (i, 1)-path with i <= ell has degr above C(ell+1, 2) */
+    int64_t ell = e, width = ell * (ell + 1) / 2 + 1;
+    int64_t dstar = ds < width - 1 ? ds : width - 1;
+    /* the rows of F_{n,k}, for n = 1..ell+1 and F_{ell+2,1}, start at
+       rows + first[n] + (k - 1)(deep[n] + 1), deep[n] = min(dstar, C(n,2)) */
+    int64_t first[MAX_DEPTH + 2], deep[MAX_DEPTH + 2];
+    for (int64_t n = 0; n <= ell + 2; n++) {
+        deep[n] = n * (n - 1) / 2 < dstar ? n * (n - 1) / 2 : dstar;
+        first[n] = n == 0 ? 0 : first[n - 1] + (n - 1) * (deep[n - 1] + 1);
+    }
+    Row *rows = NULL;
+    int64_t *co = PyMem_Calloc((size_t)dstar + 1, sizeof(int64_t));
+    Table *max = PyMem_Calloc((size_t)ell, sizeof(Table));
+    int64_t *cells = NULL, used = 0, cap = 0, done = 0; /* levels built */
+    uint64_t ticks = 0;
+    PyObject *out = NULL;
+    if (co == NULL || max == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (int64_t k = 0; k < ell; k++)
+        if (table_init(&max[k], 64) < 0)
+            goto fail;
+    if (ellm_walk(ell, 1, 0, dstar, COUNT, NULL, max, NULL) < 0)
+        goto fail;
+    out = PyList_New(ell);
+    if (out == NULL)
+        goto fail;
+    for (int64_t n = 1; n <= ell + 2; n++) {
+        /* the rows of F_{n,1..n}, or of F_{ell+2,1} alone, all empty */
+        int64_t kmax = n <= ell + 1 ? n : 1, nrows = first[n] + kmax * (deep[n] + 1);
+        Row *grown = PyMem_Realloc(rows, (size_t)nrows * sizeof(Row));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            goto fail;
+        }
+        rows = grown;
+        for (int64_t x = first[n]; x < nrows; x++) {
+            rows[x].lo = LIMIT;
+            rows[x].hi = -1;
+        }
+        for (int64_t k = 1; k <= kmax; k++) {
+            Row *f = rows + first[n] + (k - 1) * (deep[n] + 1);
+            int64_t s = n - k, c = k - 1, need = used;
+            Row *src = rows + first[s]; /* F_{s,r} at src + (r - 1)(deep[s] + 1) */
+            if (s == 0) /* F_{n,n}: one term, degr 0 and area 0 */
+                f[0].lo = f[0].hi = 0;
+            for (int64_t r = 1; r <= s; r++) { /* the span of each row */
+                Row *g = src + (r - 1) * (deep[s] + 1);
+                for (int64_t d = 0; d <= deep[s] && d + c * (s - r) <= dstar; d++)
+                    for (int64_t i = 0; i <= r * c && d + c * (s - r) + i <= dstar; i++) {
+                        Row *t = f + d + c * (s - r) + i;
+                        t->lo = g[d].lo + s < t->lo ? g[d].lo + s : t->lo;
+                        t->hi = g[d].hi + s > t->hi ? g[d].hi + s : t->hi;
+                    }
+            }
+            for (int64_t d = 0; d <= deep[n]; d++)
+                if (f[d].hi >= f[d].lo) {
+                    f[d].off = need;
+                    need += f[d].hi - f[d].lo + 1;
+                }
+            if (need > cap) {
+                int64_t want = 2 * cap > need ? 2 * cap : need;
+                int64_t *more = PyMem_Realloc(cells, (size_t)want * sizeof(int64_t));
+                if (more == NULL) {
+                    PyErr_NoMemory();
+                    goto fail;
+                }
+                memset(more + cap, 0, (size_t)(want - cap) * sizeof(int64_t));
+                cells = more;
+                cap = want;
+            }
+            used = need;
+            if (s == 0)
+                cells[f[0].off] = 1;
+            co[0] = 1;
+            memset(co + 1, 0, (size_t)dstar * sizeof(int64_t));
+            for (int64_t r = 1; r <= s; r++) {
+                /* co[i] for [r+c choose r]_q from [r-1+c choose r-1]_q */
+                for (int64_t i = dstar; i >= r + c; i--)
+                    co[i] -= co[i - r - c];
+                for (int64_t i = r; i <= dstar; i++)
+                    if (add_product(&co[i], co[i - r], 1) < 0)
+                        goto fail;
+                Row *g = src + (r - 1) * (deep[s] + 1);
+                for (int64_t d = 0; d <= deep[s] && d + c * (s - r) <= dstar; d++) {
+                    if (g[d].hi < g[d].lo)
+                        continue;
+                    const int64_t *from = cells + g[d].off;
+                    int64_t w = g[d].hi - g[d].lo + 1;
+                    for (int64_t i = 0; i <= r * c && d + c * (s - r) + i <= dstar; i++) {
+                        if (interrupted(&ticks))
+                            goto fail;
+                        Row *t = f + d + c * (s - r) + i;
+                        int64_t *to = cells + t->off + g[d].lo + s - t->lo;
+                        for (int64_t x = 0; x < w; x++)
+                            if (add_product(&to[x], co[i], from[x]) < 0)
+                                goto fail;
+                    }
+                }
+            }
+        }
+        if (n < 3)
+            continue;
+        /* level n - 2 is C_{n-1} = t^(1-n) F_{n,1} */
+        Row *f = rows + first[n];
+        Table all;
+        if (table_init(&all, 64) < 0)
+            goto fail;
+        for (int64_t d = 0; d <= deep[n]; d++)
+            for (int64_t b = f[d].lo; b <= f[d].hi; b++) {
+                int64_t count = cells[f[d].off + b - f[d].lo];
+                if (count != 0 && table_add(&all, d * width + b - (n - 1), count) < 0) {
+                    table_free(&all);
+                    goto fail;
+                }
+            }
+        /* census_result frees both tables */
+        PyObject *level = census_result(&all, &max[done++], width);
+        if (level == NULL)
+            goto fail;
+        PyList_SET_ITEM(out, n - 3, level);
+    }
+    PyMem_Free(rows);
+    PyMem_Free(co);
+    PyMem_Free(cells);
+    PyMem_Free(max);
+    return out;
+
+fail:
+    Py_XDECREF(out);
+    for (int64_t k = done; max != NULL && k < ell; k++)
+        table_free(&max[k]);
+    PyMem_Free(rows);
+    PyMem_Free(co);
+    PyMem_Free(cells);
+    PyMem_Free(max);
+    return NULL;
+}
+
+/* ------------------------------------------------------------------------
  * lowest_tuple(a, m): iterate right on the positions a = (a_0, ..., a_ell)
  * until unrightable, in place, as qtcat.cycles.lowest_tuple does on tuples */
 
@@ -682,6 +893,11 @@ static PyMethodDef methods[] = {
      "ellm_maximal_bounded(ell, m, dstar)\n--\n\n"
      "List of (degr, positions) over maximal (ell, m)-paths with degr <= dstar; "
      "see qtcat._kernels_py."},
+    {"catalan_census_levels", (PyCFunction)(void (*)(void))catalan_census_levels,
+     METH_VARARGS | METH_KEYWORDS,
+     "catalan_census_levels(ell, dstar)\n--\n\n"
+     "ellm_census_levels(ell, 1, dstar), its left sides from the Garsia-Haglund "
+     "recursion; see qtcat._kernels_py."},
     {"lowest_tuple", (PyCFunction)(void (*)(void))lowest_tuple,
      METH_VARARGS | METH_KEYWORDS,
      "lowest_tuple(a, m)\n--\n\n"

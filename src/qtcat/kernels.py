@@ -1,11 +1,14 @@
 """Kernel selection: the C extension when it was built, pure Python otherwise.
 
-Both backends export the same five functions with identical results:
+Both backends export the same six functions with identical results:
 rational_census(n, s); the three (ell, m) kernels, which all take
 (ell, m, dstar) and walk the (ell, m)-paths with degr <= dstar:
 ellm_census_levels counts them, and in the same walk the shorter paths at
 every level below, ellm_paths_bounded lists them and ellm_maximal_bounded
-lists the maximal ones; and lowest_tuple(a, m), the
+lists the maximal ones; catalan_census_levels(ell, dstar), which returns
+ellm_census_levels(ell, 1, dstar) with the all_counts from the
+Garsia-Haglund recursion for the q,t-Catalan polynomials instead of a walk;
+and lowest_tuple(a, m), the
 end of the right orbit of a position tuple, which computation 1 and the
 projection check walk (the pure-Python backend runs
 qtcat.cycles.lowest_tuple).  The C module
@@ -99,6 +102,14 @@ def ellm_census_levels(ell, m, dstar):
 def ellm_census_bounded(ell, m, dstar):
     """(all_counts, max_counts) over the (ell, m)-paths with degr <= dstar."""
     return ellm_census_levels(ell, m, dstar)[-1]
+
+
+def catalan_census_levels(ell, dstar):
+    """ellm_census_levels(ell, 1, dstar), its all_counts from the
+    Garsia-Haglund recursion cut at dstar and its max_counts from a walk of
+    the maximal paths only; see qtcat._kernels_py.catalan_census_levels."""
+    check_ellm(ell, 1, dstar)
+    return _impl.catalan_census_levels(ell, dstar)
 
 
 def ellm_paths_bounded(ell, m, dstar):

@@ -224,12 +224,16 @@ def computation1(m, dstar):
 def computation2(m, dstar):
     """Slice identity for every ell <= lstar(m, dstar) and every d <= dstar.
 
-    One walk at lstar counts every level, and _witness compares each
-    level's sides without assembling them."""
+    One walk at lstar counts every level; at m = 1 the left sides come from
+    the Garsia-Haglund recursion instead, and only the maximal paths are
+    walked.  _witness compares each level's sides without assembling them."""
     t0 = time.perf_counter()
     witness = None
     paths = maximal = 0
-    levels = kernels.ellm_census_levels(lstar(m, dstar), m, dstar)
+    if m == 1:
+        levels = kernels.catalan_census_levels(lstar(m, dstar), dstar)
+    else:
+        levels = kernels.ellm_census_levels(lstar(m, dstar), m, dstar)
     for ell, (all_counts, max_counts) in enumerate(levels, 1):
         paths += sum(all_counts.values())
         maximal += sum(max_counts.values())

@@ -160,6 +160,18 @@ def test_criterion_5_basecase_past_the_papers_bound(speedups, monkeypatch):
     report(5, "base case m in [1,24], d* = 24 (C kernel)")
 
 
+def test_criterion_5_basecase_at_dstar_28(speedups, monkeypatch):
+    # d* = 28: seconds on the C kernel, where computation 2 at m = 1 takes
+    # the recursion, not the walk of 70,374,634 paths; C only
+    monkeypatch.setattr(kernels, "_impl", speedups)
+    r = verify.basecase(range(1, 29), 28)
+    assert r.verdict, r.witness
+    assert sum(c["paths"] for c in r.counts["computation2"]) == 98965532
+    assert sum(c["maximal"] for c in r.counts["computation2"]) == 1071764
+    assert sum(c["maximal_paths"] for c in r.counts["computation1"]) == 86801
+    report(5, "base case m in [1,28], d* = 28 (C kernel)")
+
+
 def test_criterion_6_statistic_equivalence():
     checked = 0
     for ell in range(1, 6):

@@ -21,6 +21,8 @@ from qtcat import _kernels_py, cycles, kernels, paths, verify
 from qtcat.bijections import bounded_partitions
 
 GOLDEN = Path(__file__).parent / "data" / "census_digests.json"
+# per-level totals and digests of one C walk at lstar(1, 28); see its "source"
+LEVELS_28 = Path(__file__).parent / "data" / "catalan_levels_28.json"
 
 
 def oracle_rational(n, s):
@@ -71,6 +73,59 @@ def test_ellm_census_matches_oracle(impl, ell, m, dstar):
     # one walk at ell counts every level below it too
     want = [oracle_ellm(level, m, dstar) for level in range(1, ell + 1)]
     assert impl.ellm_census_levels(ell, m, dstar) == want
+
+
+@BACKENDS
+@pytest.mark.parametrize("ell", range(1, 8))
+def test_catalan_census_matches_the_walk(impl, ell):
+    # every cut from dstar 0 to past the largest degree C(ell+1, 2), where
+    # nothing is cut, and a dstar far past it
+    for dstar in [*range(comb(ell + 1, 2) + 2), 2**63 - 1]:
+        got = impl.catalan_census_levels(ell, dstar)
+        assert got == impl.ellm_census_levels(ell, 1, dstar), dstar
+
+
+@pytest.mark.parametrize("dstar", [15, 20, 24])
+def test_c_catalan_census_matches_the_walk_at_lstar(speedups, dstar):
+    ell = verify.lstar(1, dstar)
+    got = speedups.catalan_census_levels(ell, dstar)
+    assert got == speedups.ellm_census_levels(ell, 1, dstar)
+
+
+def level_totals(ell, census):
+    """A level's totals and digest, as LEVELS_28 holds them."""
+    all_counts, max_counts = census
+    return {
+        "ell": ell,
+        "paths": sum(all_counts.values()),
+        "keys": len(all_counts),
+        "maximal": sum(max_counts.values()),
+        "maximal_keys": len(max_counts),
+        "digest": result_digest(census),
+    }
+
+
+def test_c_catalan_census_matches_the_walk_at_dstar_28(speedups):
+    # the walk takes seconds here (70,374,634 paths over 131,198 keys), so
+    # its levels are committed rather than walked again
+    want = json.loads(LEVELS_28.read_text())["levels"]
+    got = speedups.catalan_census_levels(verify.lstar(1, 28), 28)
+    assert [level_totals(ell, census) for ell, census in enumerate(got, 1)] == want
+    assert sum(level["paths"] for level in want) == 70374634
+    assert sum(level["keys"] for level in want) == 131198
+
+
+@BACKENDS
+@pytest.mark.parametrize("dstar", [15, 20, 24])
+def test_catalan_census_matches_golden_digests(impl, dstar):
+    # the m = 1 levels of the golden digests, which the walk wrote
+    if impl is _kernels_py and dstar == 24 and not os.environ.get("QTCAT_FULL_BASECASE"):
+        pytest.skip("pure-Python d* = 24 is opt-in; set QTCAT_FULL_BASECASE=1")
+    golden = json.loads(GOLDEN.read_text())
+    levels = impl.catalan_census_levels(verify.lstar(1, dstar), dstar)
+    for ell, census in enumerate(levels, 1):
+        key = "ellm_census_bounded%r" % ((ell, 1, dstar),)
+        assert result_digest(census) == golden[key], key
 
 
 @BACKENDS
@@ -345,6 +400,11 @@ BAD_INPUT = [
     ("ellm_census_levels", (46340, 1, 0)),
     ("ellm_census_levels", (1, 2**30, 0)),
     ("ellm_census_levels", (kernels.MAX_DEPTH, 1, 0)),
+    ("catalan_census_levels", (3, -1)),
+    ("catalan_census_levels", (0, 3)),
+    ("catalan_census_levels", (3, 2**63)),
+    ("catalan_census_levels", (46340, 0)),
+    ("catalan_census_levels", (kernels.MAX_DEPTH, 0)),
     ("ellm_maximal_bounded", (3, 2, -1)),
     ("ellm_maximal_bounded", (0, 1, 3)),
     ("ellm_maximal_bounded", (10**20, 1, 3)),
@@ -368,6 +428,8 @@ def test_census_rejects_bad_input(impl, monkeypatch):
         impl.rational_census(6, 3)
     with pytest.raises(ValueError):
         impl.ellm_census_levels(3, 2, -1)
+    with pytest.raises(ValueError):
+        impl.catalan_census_levels(3, -1)
     with pytest.raises(ValueError):
         impl.ellm_maximal_bounded(3, 2, -1)
     with pytest.raises(ValueError):

@@ -127,6 +127,30 @@ def test_computation2_witness_is_smallest_bad_degree(monkeypatch):
     assert QtPolynomial.from_obj(r.witness["difference"]) == -sym(1, M - 2 - 1)
 
 
+def test_computation2_witness_at_m_1_is_smallest_bad_level_and_degree(monkeypatch):
+    # m = 1 takes its levels from catalan_census_levels and walks nothing else
+    census = kernels.catalan_census_levels
+
+    def perturbed(ell, dstar):
+        levels = census(ell, dstar)
+        all_counts, max_counts = levels[3 - 1]
+        all_counts[(4, 1)] = all_counts.get((4, 1), 0) + 1
+        max_counts[(2, 1)] = max_counts.get((2, 1), 0) + 1
+        # a bad degree 0 at a later level does not hide level 3
+        all_counts = levels[5 - 1][0]
+        all_counts[(0, 2)] = all_counts.get((0, 2), 0) + 1
+        return levels
+
+    monkeypatch.setattr(kernels, "catalan_census_levels", perturbed)
+    monkeypatch.setattr(kernels, "ellm_census_levels", None)
+    r = computation2(1, 6)
+    M = paths.max_area(3, 1)
+    assert not r.verdict
+    assert list(r.witness) == ["ell", "d", "difference"]
+    assert (r.witness["ell"], r.witness["d"]) == (3, 2)
+    assert QtPolynomial.from_obj(r.witness["difference"]) == -sym(1, M - 2 - 1)
+
+
 def rhs_by_sym(max_counts, M):
     """The right side as the sum of c * sym(a, M - d - a), one QtPolynomial
     addition per term: the definition that _slices_from_census's run-based
