@@ -12,17 +12,16 @@
  * at m = 1 with the path counts from the Garsia-Haglund recursion, cut at
  * dstar, and a walk of the maximal paths only.  Each walk is an iterative
  * depth-first loop over int64 arrays sized to the instance.  The census
- * kernels count paths by the key degr * (M + 1) + area and make Python
- * objects only when they return:
- * rational_census counts the leaves, into dense rows of keys when its paths
- * outnumber its possible keys and into growable open-addressed tables
- * otherwise; ellm_census_levels counts every node at every level of the
- * walk into such tables, whose size follows the number of distinct keys.
- * The listing kernels append each path they keep to a Python list.
+ * kernels count into one store, a row of areas per degree (one level of
+ * areas for a slope, one per level for an (ell, m) walk), grown to the
+ * largest degree met, and make Python objects only when they return, in one
+ * fold of each level's rows.  The listing kernels append each path they
+ * keep to a Python list.
  *
  * Inputs are limited to slopes n/s with n * s < LIMIT ((ell, m)-paths are
  * the paths of slope (m(ell+1)+1)/(ell+1)).  Then every intermediate value,
- * including degr <= ell * n and each table key, stays below 2**62.  A walk
+ * including degr <= ell * n, stays below 2**62, and a store index below the
+ * store's size, which store_grow holds within size_t.  A walk
  * is s - 1 (or ell) levels deep, and s (or ell + 1) is at most MAX_DEPTH.
  * An orbit takes the same (ell, m) limits and entries |a_i| < LIMIT.
  * qtcat.kernels checks the same limits before it calls in here.
@@ -37,109 +36,93 @@
 #define MAX_DEPTH 512
 
 /* ------------------------------------------------------------------------
- * int64 -> int64 count table; a slot whose count is 0 is empty */
+ * the count store of every census: counts[2 key] and counts[2 key + 1] are
+ * the numbers of paths and of maximal paths under key
+ *   degr * stride + at(j) + area,  at(j) = m j(j+1)(j+2)/6 + j,
+ * for level j = 0..levels-1, whose areas 0..m(j+1)(j+2)/2 are the cells
+ * at(j)..at(j+1)-1 of each degree's row; stride = at(levels).  The rows
+ * grow by doubling to the largest degree met, and not past cap rows unless
+ * a degree needs it. */
 
 typedef struct {
-    int64_t *key;
-    int64_t *val;
-    size_t mask; /* capacity - 1, capacity a power of two */
-    size_t used;
-} Table;
+    int64_t *counts;
+    int64_t m, stride, rows, cap;
+} Store;
 
-static int
-table_init(Table *t, size_t cap)
+static int64_t
+level_at(int64_t m, int64_t j)
 {
-    t->key = PyMem_Calloc(cap, sizeof(int64_t));
-    t->val = PyMem_Calloc(cap, sizeof(int64_t));
-    t->mask = cap - 1;
-    t->used = 0;
-    if (t->key == NULL || t->val == NULL) {
+    return m * j * (j + 1) * (j + 2) / 6 + j;
+}
+
+static Store
+store_new(int64_t levels, int64_t m, int64_t cap)
+{
+    return (Store){NULL, m, level_at(m, levels), 0, cap};
+}
+
+/* make room for degree d: at least double the rows, zero the new ones,
+   raise MemoryError if refused or past size_t */
+static int
+store_grow(Store *st, int64_t d)
+{
+    int64_t want = 2 * st->rows < st->cap ? 2 * st->rows : st->cap;
+    want = want > d ? want : d + 1;
+    int64_t *grown = (uint64_t)want > SIZE_MAX / (2 * sizeof(int64_t)) / (uint64_t)st->stride
+        ? NULL : PyMem_Realloc(st->counts, (size_t)(2 * want * st->stride) * sizeof(int64_t));
+    if (grown == NULL) {
         PyErr_NoMemory();
         return -1;
     }
+    memset(grown + 2 * st->rows * st->stride, 0,
+           (size_t)(2 * (want - st->rows) * st->stride) * sizeof(int64_t));
+    st->counts = grown;
+    st->rows = want;
     return 0;
 }
 
-static void
-table_free(Table *t)
-{
-    PyMem_Free(t->key);
-    PyMem_Free(t->val);
-    t->key = t->val = NULL;
-}
-
-static size_t
-table_slot(const Table *t, int64_t key)
-{
-    uint64_t h = (uint64_t)key * 0x9E3779B97F4A7C15ULL;
-    size_t i = (size_t)(h ^ (h >> 29)) & t->mask;
-    while (t->val[i] != 0 && t->key[i] != key)
-        i = (i + 1) & t->mask;
-    return i;
-}
-
+/* dict[(d, a0 + x)] = cells[x * step] for each nonzero cell x < len */
 static int
-table_add(Table *t, int64_t key, int64_t count)
+fold_row(PyObject *dict, int64_t d, int64_t a0, const int64_t *cells, int64_t len,
+         int64_t step)
 {
-    size_t i = table_slot(t, key);
-    if (t->val[i] == 0) {
-        if (2 * (t->used + 1) > t->mask + 1) { /* keep it at most half full */
-            Table big;
-            if (table_init(&big, 2 * (t->mask + 1)) < 0) {
-                table_free(&big);
-                return -1;
-            }
-            for (size_t j = 0; j <= t->mask; j++)
-                if (t->val[j] != 0)
-                    table_add(&big, t->key[j], t->val[j]);
-            table_free(t);
-            *t = big;
-            i = table_slot(t, key);
-        }
-        t->key[i] = key;
-        t->used++;
-    }
-    t->val[i] += count;
-    return 0;
-}
-
-/* {(degr, area): count} from keys degr * width + area */
-static PyObject *
-table_dict(const Table *t, int64_t width)
-{
-    PyObject *dict = PyDict_New();
-    if (dict == NULL)
-        return NULL;
-    for (size_t i = 0; i <= t->mask; i++) {
-        if (t->val[i] == 0)
+    for (int64_t x = 0; x < len; x++) {
+        if (cells[x * step] == 0)
             continue;
-        PyObject *k = Py_BuildValue("(LL)", (long long)(t->key[i] / width),
-                                    (long long)(t->key[i] % width));
-        PyObject *v = PyLong_FromLongLong(t->val[i]);
+        PyObject *k = Py_BuildValue("(LL)", (long long)d, (long long)(a0 + x));
+        PyObject *v = PyLong_FromLongLong(cells[x * step]);
         int rc = (k == NULL || v == NULL) ? -1 : PyDict_SetItem(dict, k, v);
         Py_XDECREF(k);
         Py_XDECREF(v);
-        if (rc < 0) {
-            Py_DECREF(dict);
-            return NULL;
-        }
+        if (rc < 0)
+            return -1;
     }
+    return 0;
+}
+
+/* {(degr, area): count} of level j, all paths (half 0) or maximal (half 1) */
+static PyObject *
+store_dict(const Store *st, int64_t j, int half)
+{
+    int64_t at = level_at(st->m, j), width = level_at(st->m, j + 1) - at;
+    PyObject *dict = PyDict_New();
+    for (int64_t d = 0; dict != NULL && d < st->rows; d++)
+        if (fold_row(dict, d, 0, st->counts + 2 * (d * st->stride + at) + half, width, 2) < 0)
+            Py_CLEAR(dict);
     return dict;
 }
 
-/* (all_counts, max_counts) as a tuple of dicts; frees both tables */
+/* (all_counts, max_counts) of level j */
 static PyObject *
-census_result(Table *all, Table *max, int64_t width)
+store_level(const Store *st, int64_t j)
 {
-    PyObject *a = table_dict(all, width);
-    PyObject *b = a == NULL ? NULL : table_dict(max, width);
-    table_free(all);
-    table_free(max);
-    if (b == NULL) {
-        Py_XDECREF(a);
+    PyObject *all = store_dict(st, j, 0);
+    PyObject *max = all == NULL ? NULL : store_dict(st, j, 1);
+    if (max == NULL) {
+        Py_XDECREF(all);
         return NULL;
     }
-    return Py_BuildValue("(NN)", a, b);
+    return Py_BuildValue("(NN)", all, max);
 }
 
 /* a long walk still answers ^C */
@@ -183,37 +166,9 @@ gcd64(int64_t a, int64_t b)
  * internal node and read by all its descendants.  The pure-Python walk
  * keeps the O(i) sum as the oracle.
  *
- * A leaf is counted by its key degr * (M+1) + area, degr + area <= M.  The
- * tables pay a hash for every path; dense rows of M + 1 keys, grown to the
- * largest degr met and folded into the tables once at the end, pay for
- * every key they hold.  So a census counts densely when its paths,
- * C(n+s, s)/(n+s), are at least its (M+1)(M+2)/2 possible keys (17/12:
- * 1,789,515 paths for 4,005 keys), and into the tables otherwise (every
- * n/2 and n/3 past n = 1: 1447/3 has 349,692 paths for 1,047,628 keys). */
-
-/* a memory bound only, 2 (M+1)**2 int64 or 33.5 MB at M = 1446: a slope
-   that qtcat.kernels.check_slope admits and whose paths outnumber its keys
-   has at most 2**20 keys, so the cap binds only callers that skip it */
-#define DENSE_CAP ((int64_t)1 << 20)
-
-/* make room in the dense rows for degree d, which is at most M: at least
-   double the rows, zero the new ones, raise MemoryError if refused */
-static int
-grow_rows(int64_t **count, int64_t *rows, int64_t d, int64_t M)
-{
-    int64_t want = 2 * *rows > d + 1 ? 2 * *rows : d + 1;
-    want = want < M + 1 ? want : M + 1;
-    int64_t *grown = PyMem_Realloc(*count, (size_t)(2 * want * (M + 1)) * sizeof(int64_t));
-    if (grown == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    memset(grown + 2 * *rows * (M + 1), 0,
-           (size_t)(2 * (want - *rows) * (M + 1)) * sizeof(int64_t));
-    *count = grown;
-    *rows = want;
-    return 0;
-}
+ * A leaf counts in the store as level 0 of width M + 1 (m = M): degr and
+ * area are at most M, and its rows grow only to the largest degr met, so a
+ * thin slope such as 2893/2 (one degr, 0) keeps one row. */
 
 static PyObject *
 rational_census(PyObject *self, PyObject *args, PyObject *kwds)
@@ -234,13 +189,15 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
     for (int64_t i = 0; i < ell; i++)
         M += n * (i + 1) / s;
 
-    Table all = {0}, max = {0};
-    if (table_init(&all, 64) < 0 || table_init(&max, 64) < 0)
-        goto fail;
+    Store st = store_new(1, M, M + 1);
+    PyObject *out = NULL;
+    int64_t *buf = NULL;
     if (ell == 0) { /* the single path (n): every statistic is zero */
-        if (table_add(&all, 0, 1) < 0 || table_add(&max, 0, 1) < 0)
-            goto fail;
-        return census_result(&all, &max, M + 1);
+        if (store_grow(&st, 0) == 0) {
+            st.counts[0] = st.counts[1] = 1;
+            out = store_level(&st, 0);
+        }
+        goto done;
     }
 
     /* row r of T_j starts at T + row[r] + j (fl[r+1] + 1), for j = 0..r-1
@@ -257,25 +214,17 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
        deg = degr of the prefix, w = sum (ell - k) x_k over k < i,
        slk = min over k < i of n(k+1) - s*pref[k+1]; fl[j] = floor(nj/s)
        for j = 0..ell, where nj < ns < 2**31; then T */
-    int64_t *buf = size > SIZE_MAX / sizeof(int64_t)
+    buf = size > SIZE_MAX / sizeof(int64_t)
         ? NULL : PyMem_Calloc((size_t)size, sizeof(int64_t));
     if (buf == NULL) {
         PyErr_NoMemory();
-        goto fail;
+        goto done;
     }
     int64_t *xs = buf, *pref = xs + ell + 1, *room = pref + ell + 1;
     int64_t *deg = room + ell + 1, *w = deg + ell + 1, *slk = w + ell + 1;
     int64_t *fl = slk + ell + 1, *T = fl + ell + 1;
     for (int64_t j = 0; j <= ell; j++)
         fl[j] = n * j / s;
-    int64_t keys = (M + 1) * (M + 2) / 2;
-    double paths = 1.0 / (double)(n + s); /* C(n+s, s) / (n+s) */
-    for (int64_t k = 1; k <= s; k++)
-        paths = paths * (double)(n + k) / (double)k;
-    int dense = keys <= DENSE_CAP && paths >= (double)keys;
-    /* the dense rows hold the count of key degr * (M+1) + area at 2 key
-       and its count of maximal paths at 2 key + 1, for degr < rows */
-    int64_t *count = NULL, rows = 0;
     uint64_t ticks = 0;
     int64_t i = 0;
     xs[0] = -1;
@@ -283,7 +232,7 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
     slk[0] = n * s;
     while (i >= 0) {
         if (interrupted(&ticks))
-            goto fail_buf;
+            goto done;
         int64_t x = ++xs[i];
         if (x > room[i]) {
             i--;
@@ -300,16 +249,11 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
         int64_t minslack = slack < slk[i] ? slack : slk[i];
         int64_t wi = w[i] + (ell - i) * x;
         if (i == ell - 1) {
-            int64_t key = d * (M + 1) + (M - wi);
-            if (dense) {
-                if (d >= rows && grow_rows(&count, &rows, d, M) < 0)
-                    goto fail_buf;
-                count[2 * key]++;
-                count[2 * key + 1] += minslack == 1;
-            } else if (table_add(&all, key, 1) < 0
-                       || (minslack == 1 && table_add(&max, key, 1) < 0)) {
-                goto fail_buf;
-            }
+            if (d >= st.rows && store_grow(&st, d) < 0)
+                goto done;
+            int64_t *c = st.counts + 2 * (d * (M + 1) + (M - wi));
+            c[0]++;
+            c[1] += minslack == 1;
             continue;
         }
         if (i > 0) { /* T_i from T_{i-1}, the row before each of its rows */
@@ -331,24 +275,11 @@ rational_census(PyObject *self, PyObject *args, PyObject *kwds)
         w[i] = wi;
         slk[i] = minslack;
     }
-    /* fold the cells a leaf can have written: degr < rows, area <= M - degr */
-    for (int64_t d = 0; d < rows; d++)
-        for (int64_t key = d * (M + 1); key <= d * (M + 1) + M - d; key++)
-            if ((count[2 * key] != 0 && table_add(&all, key, count[2 * key]) < 0)
-                    || (count[2 * key + 1] != 0
-                        && table_add(&max, key, count[2 * key + 1]) < 0))
-                goto fail_buf;
+    out = store_level(&st, 0);
+done:
     PyMem_Free(buf);
-    PyMem_Free(count);
-    return census_result(&all, &max, M + 1);
-
-fail_buf:
-    PyMem_Free(buf);
-    PyMem_Free(count);
-fail:
-    table_free(&all);
-    table_free(&max);
-    return NULL;
+    PyMem_Free(st.counts);
+    return out;
 }
 
 /* ------------------------------------------------------------------------
@@ -390,9 +321,6 @@ alpha(int64_t a, int64_t b, int64_t m)
     return d < m ? d : m;
 }
 
-/* what a walk does with the paths it keeps */
-enum leaf { COUNT, LIST };
-
 /* the largest position histogram a walk allocates */
 #define HIST_CAP ((int64_t)1 << 16)
 
@@ -401,9 +329,8 @@ enum leaf { COUNT, LIST };
    each later a_i from a_{i-1} + m, and a prefix whose running degree
    exceeds dstar is cut (sound because no step lowers the degree).  The
    nodes the walk enters at level i are then exactly the (i, m)-paths with
-   degr <= dstar.  COUNT counts each of them, at every level i, into
-   all[i - 1] (unless all is NULL) and max[i - 1] when a_1 = 0, under the
-   key degr * width + area, with the width of level ell; LIST appends
+   degr <= dstar.  With a store, the walk counts each of them at level
+   i - 1 of it, as maximal when a_1 = 0; with a list out, it appends
    (degr, positions) of each path at level ell to out.
 
    The degree of a try a_i = v is
@@ -420,8 +347,7 @@ enum leaf { COUNT, LIST };
    0..(ell + 1)m + 1.  Past HIST_CAP entries it is not allocated and every
    try takes the O(i) sum, so a huge m costs no memory. */
 static int
-ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar,
-          enum leaf leaf, Table *all, Table *max, PyObject *out)
+ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar, Store *st, PyObject *out)
 {
     /* per depth i: a = a_i, ar = a_1 + ... + a_{i-1}, and for the last try
        v = a_i: dv = d(v), up = up(v), lo = lo(v); so dv[i - 1] is the
@@ -437,7 +363,6 @@ ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar,
     int64_t *a = buf, *ar = a + ell + 1, *dv = ar + ell + 1;
     int64_t *up = dv + ell + 1, *lo = up + ell + 1;
     int64_t *h = hist ? lo + ell + 1 : NULL;
-    int64_t width = m * ell * (ell + 1) / 2 + 1;
     uint64_t ticks = 0;
     int64_t i = 1;
     int first = 1; /* the next try is its level's first */
@@ -484,11 +409,12 @@ ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar,
         first = 0;
         if (d > dstar)
             continue;
-        if (leaf == COUNT) {
-            int64_t key = d * width + ar[i] + v;
-            if ((all != NULL && table_add(&all[i - 1], key, 1) < 0)
-                    || (a[1] == 0 && table_add(&max[i - 1], key, 1) < 0))
+        if (st != NULL) {
+            if (d >= st->rows && store_grow(st, d) < 0)
                 goto fail;
+            int64_t *c = st->counts + 2 * (d * st->stride + level_at(m, i - 1) + ar[i] + v);
+            c[0]++;
+            c[1] += a[1] == 0;
         }
         if (i < ell) {
             if (h != NULL)
@@ -499,7 +425,7 @@ ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar,
             first = 1;
             continue;
         }
-        if (leaf == COUNT)
+        if (out == NULL)
             continue;
         PyObject *item = PyTuple_New(ell + 1);
         if (item == NULL)
@@ -535,32 +461,20 @@ ellm_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
     int64_t ell, m, dstar;
     if (ellm_args(args, kwds, "LLL:ellm_census_levels", &ell, &m, &dstar) < 0)
         return NULL;
-    Table *tables = PyMem_Calloc(2 * (size_t)ell, sizeof(Table));
-    if (tables == NULL)
-        return PyErr_NoMemory();
-    Table *all = tables, *max = tables + ell;
+    /* no level has a path of degr above C(ell+1, 2) m */
+    int64_t M = m * ell * (ell + 1) / 2;
+    Store st = store_new(ell, m, (dstar < M ? dstar : M) + 1);
     PyObject *out = NULL;
-    int64_t i = 0;
-    for (int64_t k = 0; k < ell; k++)
-        if (table_init(&all[k], 64) < 0 || table_init(&max[k], 64) < 0)
-            goto done;
-    if (ellm_walk(ell, m, m, dstar, COUNT, all, max, NULL) < 0)
-        goto done;
-    out = PyList_New(ell);
-    /* census_result frees the two tables of a level as it converts them */
-    for (; out != NULL && i < ell; i++) {
-        PyObject *level = census_result(&all[i], &max[i], m * ell * (ell + 1) / 2 + 1);
+    if (ellm_walk(ell, m, m, dstar, &st, NULL) == 0)
+        out = PyList_New(ell);
+    for (int64_t j = 0; out != NULL && j < ell; j++) {
+        PyObject *level = store_level(&st, j);
         if (level == NULL)
             Py_CLEAR(out);
         else
-            PyList_SET_ITEM(out, i, level);
+            PyList_SET_ITEM(out, j, level);
     }
-done:
-    for (; i < ell; i++) {
-        table_free(&all[i]);
-        table_free(&max[i]);
-    }
-    PyMem_Free(tables);
+    PyMem_Free(st.counts);
     return out;
 }
 
@@ -573,7 +487,7 @@ ellm_list(PyObject *args, PyObject *kwds, const char *fmt, int maximal)
     if (ellm_args(args, kwds, fmt, &ell, &m, &dstar) < 0)
         return NULL;
     PyObject *out = PyList_New(0);
-    if (out != NULL && ellm_walk(ell, m, maximal ? 0 : m, dstar, LIST, NULL, NULL, out) < 0)
+    if (out != NULL && ellm_walk(ell, m, maximal ? 0 : m, dstar, NULL, out) < 0)
         Py_CLEAR(out);
     return out;
 }
@@ -659,8 +573,7 @@ catalan_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
         return NULL;
     }
     /* no (i, 1)-path with i <= ell has degr above C(ell+1, 2) */
-    int64_t ell = e, width = ell * (ell + 1) / 2 + 1;
-    int64_t dstar = ds < width - 1 ? ds : width - 1;
+    int64_t ell = e, M = ell * (ell + 1) / 2, dstar = ds < M ? ds : M;
     /* the rows of F_{n,k}, for n = 1..ell+1 and F_{ell+2,1}, start at
        rows + first[n] + (k - 1)(deep[n] + 1), deep[n] = min(dstar, C(n,2)) */
     int64_t first[MAX_DEPTH + 2], deep[MAX_DEPTH + 2];
@@ -670,18 +583,16 @@ catalan_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
     }
     Row *rows = NULL;
     int64_t *co = PyMem_Calloc((size_t)dstar + 1, sizeof(int64_t));
-    Table *max = PyMem_Calloc((size_t)ell, sizeof(Table));
-    int64_t *cells = NULL, used = 0, cap = 0, done = 0; /* levels built */
+    int64_t *cells = NULL, used = 0, cap = 0;
+    /* the walk from a_1 = 0 counts only maximal paths, in both halves */
+    Store st = store_new(ell, 1, dstar + 1);
     uint64_t ticks = 0;
     PyObject *out = NULL;
-    if (co == NULL || max == NULL) {
+    if (co == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
-    for (int64_t k = 0; k < ell; k++)
-        if (table_init(&max[k], 64) < 0)
-            goto fail;
-    if (ellm_walk(ell, 1, 0, dstar, COUNT, NULL, max, NULL) < 0)
+    if (ellm_walk(ell, 1, 0, dstar, &st, NULL) < 0)
         goto fail;
     out = PyList_New(ell);
     if (out == NULL)
@@ -764,19 +675,17 @@ catalan_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
             continue;
         /* level n - 2 is C_{n-1} = t^(1-n) F_{n,1} */
         Row *f = rows + first[n];
-        Table all;
-        if (table_init(&all, 64) < 0)
+        PyObject *all = PyDict_New();
+        for (int64_t d = 0; all != NULL && d <= deep[n]; d++)
+            if (f[d].hi >= f[d].lo && fold_row(all, d, f[d].lo - (n - 1), cells + f[d].off,
+                                               f[d].hi - f[d].lo + 1, 1) < 0)
+                Py_CLEAR(all);
+        PyObject *max = all == NULL ? NULL : store_dict(&st, n - 3, 1);
+        if (max == NULL) {
+            Py_XDECREF(all);
             goto fail;
-        for (int64_t d = 0; d <= deep[n]; d++)
-            for (int64_t b = f[d].lo; b <= f[d].hi; b++) {
-                int64_t count = cells[f[d].off + b - f[d].lo];
-                if (count != 0 && table_add(&all, d * width + b - (n - 1), count) < 0) {
-                    table_free(&all);
-                    goto fail;
-                }
-            }
-        /* census_result frees both tables */
-        PyObject *level = census_result(&all, &max[done++], width);
+        }
+        PyObject *level = Py_BuildValue("(NN)", all, max);
         if (level == NULL)
             goto fail;
         PyList_SET_ITEM(out, n - 3, level);
@@ -784,17 +693,15 @@ catalan_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
     PyMem_Free(rows);
     PyMem_Free(co);
     PyMem_Free(cells);
-    PyMem_Free(max);
+    PyMem_Free(st.counts);
     return out;
 
 fail:
     Py_XDECREF(out);
-    for (int64_t k = done; max != NULL && k < ell; k++)
-        table_free(&max[k]);
     PyMem_Free(rows);
     PyMem_Free(co);
     PyMem_Free(cells);
-    PyMem_Free(max);
+    PyMem_Free(st.counts);
     return NULL;
 }
 
@@ -907,8 +814,11 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "qtcat._speedups",
-    "Compiled enumeration kernels; same contract as qtcat._kernels_py.", -1, methods,
+    PyModuleDef_HEAD_INIT,
+    .m_name = "qtcat._speedups",
+    .m_doc = "Compiled enumeration kernels; same contract as qtcat._kernels_py.",
+    .m_size = -1,
+    .m_methods = methods,
 };
 
 PyMODINIT_FUNC

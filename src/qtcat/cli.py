@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 
 from qtcat import kernels, paths, verify
@@ -324,15 +325,42 @@ def build_parser():
     return ap
 
 
+class _OutFile:
+    """The --out file, opened for appending before the command runs so that
+    a path that cannot be written costs no walk, and opened again for
+    writing at the first write: a command that writes nothing leaves the
+    file as it was, and removes it if it made it."""
+
+    def __init__(self, path):
+        self.path = path
+        self.made = not os.path.exists(path)
+        try:
+            self.file = open(path, "a")
+        except OSError as e:
+            raise UsageError(e)
+        self.written = False
+
+    def write(self, text):
+        if not self.written:
+            self.file.close()
+            self.file = open(self.path, "w")
+            self.written = True
+        self.file.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+        if self.made and not self.written:
+            os.remove(self.path)
+
+
 def _open_out(path):
-    """Where the command writes: the --out file, opened before the command
-    runs so that a path that cannot be written costs no walk, else stdout."""
+    """Where the command writes: the --out file, else stdout."""
     if path is None:
         return contextlib.nullcontext(sys.stdout)
-    try:
-        return open(path, "w")
-    except OSError as e:
-        raise UsageError(e)
+    return _OutFile(path)
 
 
 def main(argv=None):

@@ -29,7 +29,7 @@ except ImportError:  # no extension was built
 BACKEND = _impl.BACKEND
 
 # The C kernels compute in int64.  For a slope n/s with n*s < LIMIT every
-# intermediate value and every (degr, area) table key stays below 2**62;
+# intermediate value, degr and area among them, stays below 2**62;
 # (ell, m)-paths are the paths of slope (m(ell+1)+1)/(ell+1).  Each walk is
 # s - 1 (or ell) levels deep, and the pure-Python walk recurses once per
 # level, so s and ell + 1 are held to MAX_DEPTH, far above any walk that

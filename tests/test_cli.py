@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shlex
 from pathlib import Path
 
@@ -451,6 +452,42 @@ def test_out_into_missing_directory_exits_2_before_any_walk(tmp_path, capsys, mo
     assert out == ""
     assert err.startswith("error: ") and str(target) in err
     assert not target.parent.exists()
+
+
+def test_out_into_a_directory_exits_2_before_any_walk(tmp_path, capsys, monkeypatch):
+    def walk(n, s):
+        raise AssertionError("verify ran for %d/%d" % (n, s))
+
+    monkeypatch.setattr(verify, "check_conjecture", walk)
+    code, out, err = run_cli(capsys, "--out", str(tmp_path), "verify", "--slope", "5/3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_rejected_command_leaves_the_out_file_as_it_was(tmp_path, capsys):
+    # 6/3 is not coprime, so verify exits 2 before it writes a line
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_text("earlier output\n")
+    for target in (kept, fresh):
+        code, out, err = run_cli(capsys, "--out", str(target), "verify", "--slope", "6/3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+    assert kept.read_text() == "earlier output\n"
+    assert not fresh.exists()
+
+
+def test_out_file_is_replaced_when_written(tmp_path, capsys):
+    target = tmp_path / "poly.txt"
+    target.write_text("a much longer earlier output than the polynomial\n" * 50)
+    code, _, _ = run_cli(capsys, "--out", str(target), "poly", "--slope", "5/3")
+    assert code == 0
+    _, out, _ = run_cli(capsys, "poly", "--slope", "5/3")
+    assert target.read_text() == out
+    # a device takes the output as a file does
+    code, out, _ = run_cli(capsys, "--out", os.devnull, "poly", "--slope", "5/3")
+    assert code == 0 and out == ""
 
 
 def test_census_too_large_exits_2_before_any_walk(capsys, monkeypatch):

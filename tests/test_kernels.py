@@ -291,15 +291,50 @@ def test_thin_slopes_match_python(speedups, n, s):
     assert speedups.rational_census(n, s) == _kernels_py.rational_census(n, s)
 
 
-# The C census counts its leaves into dense rows when its paths, C(n+s, s) /
-# (n+s), are at least its (M+1)(M+2)/2 possible keys, and into growable
-# tables otherwise.  19/4 has 385 paths for 406 keys (tables), 21/4 has 506
-# for 496 (dense), and 9/5 (143 for 153) and 11/5 (273 for 231) likewise;
-# 101/4 grows its dense rows several times, and every n/3 (here 1447/3:
-# 349,692 paths for 1,047,628 keys) takes the tables.
-@pytest.mark.parametrize("n, s", [(19, 4), (21, 4), (9, 5), (11, 5), (101, 4), (1447, 3)])
-def test_census_on_each_side_of_the_dense_choice(speedups, n, s):
+# The C census counts every slope into dense rows of M + 1 areas, grown to
+# the largest degr met; the pure-Python one into dicts.  Thin slopes, with
+# fewer paths than possible keys (19/4: 385 paths for 406 keys; every n/3,
+# here 1447/3: 349,692 for 1,047,628; and 2893/2, one row of 1,447 areas),
+# and thick ones (21/4: 506 for 496; 9/5, 11/5), where 101/4 grows its rows
+# several times, must give the same tables.
+@pytest.mark.parametrize(
+    "n, s", [(19, 4), (21, 4), (9, 5), (11, 5), (101, 4), (1447, 3), (2893, 2)]
+)
+def test_c_census_matches_python_on_thin_and_thick_slopes(speedups, n, s):
     assert speedups.rational_census(n, s) == _kernels_py.rational_census(n, s)
+
+
+# Each level of an (ell, m) census has its own width of areas in the C
+# store's rows, and the rows stop at min(dstar, M) + 1: a wide level 1 with
+# dstar 0, narrow deep levels, and a dstar far past every degree.
+@pytest.mark.parametrize("ell, m, dstar", [(2, 300, 0), (3, 40, 6), (4, 2, 2**63 - 1)])
+def test_c_levels_census_matches_python_on_the_store_widths(speedups, ell, m, dstar):
+    got = speedups.ellm_census_levels(ell, m, dstar)
+    assert got == _kernels_py.ellm_census_levels(ell, m, dstar)
+
+
+def test_c_census_raises_memory_error_when_its_rows_are_refused(speedups):
+    # the one row of 2**30 - 1 over 2 is 2**29 areas, 8 GiB of counts; a
+    # child capped at 1 GiB of address space is refused it
+    child = textwrap.dedent("""
+        import importlib.util, resource, sys
+        spec = importlib.util.spec_from_file_location("qtcat._speedups", sys.argv[1])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        try:
+            module.rational_census(2**30 - 1, 2)
+        except MemoryError:
+            print("MemoryError")
+        print(module.rational_census(5, 3)[0][0, 0])
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", child, speedups.__file__],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout == "MemoryError\n1\n", proc.stderr
 
 
 def test_long_c_census_answers_sigint(speedups):
