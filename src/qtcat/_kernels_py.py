@@ -9,18 +9,24 @@ with degr <= dstar by (degr, area) at every level 1..ell of that walk,
 ellm_paths_bounded lists them and ellm_maximal_bounded lists the maximal
 ones.  The fifth, catalan_census_levels(ell, dstar), returns
 ellm_census_levels(ell, 1, dstar) with the all_counts from the
-Garsia-Haglund recursion and walks only the maximal paths.  The sixth,
-lowest_tuple(a, m), the end of a right orbit, is qtcat.cycles.lowest_tuple
-itself.  A compiled twin with identical signatures lives in qtcat._speedups;
-qtcat.kernels picks whichever is importable.
+Garsia-Haglund recursion and walks only the maximal paths.
+slice_witness(all_counts, max_counts, M) compares the two sides of the
+conjecture built from a census, by their first differences in the area,
+and census_levels_check(ell, m, dstar) gives each level's totals and
+slice_witness from the dict censuses above; the C kernel compares in its
+count rows instead.  The eighth, lowest_tuple(a, m), the end of a right
+orbit, is qtcat.cycles.lowest_tuple itself.  A compiled twin with identical
+signatures lives in qtcat._speedups; qtcat.kernels picks whichever is
+importable.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from qtcat.cycles import lowest_tuple  # noqa: F401 - the sixth kernel
-from qtcat.paths import alpha
+from qtcat.cycles import lowest_tuple  # noqa: F401 - the eighth kernel
+from qtcat.paths import alpha, max_area
+from qtcat.qtpoly import step_runs, sym_steps
 
 BACKEND = "python"
 
@@ -198,6 +204,44 @@ def catalan_census_levels(ell, dstar):
                 for b, count in cells.items():
                     all_counts[d, b] = all_counts.get((d, b), 0) + count
     return levels
+
+
+def slice_witness(all_counts, max_counts, M):
+    """None when the two sides built from the (degr, area) count tables
+    agree, else (d, [(area, c), ...]): the smallest d whose slices differ and
+    the nonzero cells of slice d of lhs - rhs, in area order.
+
+    Slice d of a side is a sequence in the area j, equal to another exactly
+    when their first differences in j are.  A path key (d, a) with count c
+    steps lhs by +c at a and -c at a + 1, and qtcat.qtpoly.sym_steps gives
+    rhs's steps.  So one pass over the keys, whatever the runs' lengths,
+    gives lhs's steps minus rhs's, and slice d of lhs - rhs is their prefix
+    sums."""
+    steps = dict(all_counts)
+    for (d, a), c in all_counts.items():
+        key = d, a + 1
+        steps[key] = steps.get(key, 0) - c
+    sym_steps(max_counts, M, steps, -1)
+    if not any(steps.values()):
+        return None
+    d = min(dd for (dd, _), c in steps.items() if c)
+    row = {key: c for key, c in steps.items() if key[0] == d}
+    return d, [(j, c) for _, lo, hi, c in step_runs(row) for j in range(lo, hi)]
+
+
+def census_levels_check(ell, m, dstar):
+    """[(paths, maximal, witness) for levels 1..ell]: the totals of level
+    i's census and slice_witness of it at max_area(i, m), from
+    catalan_census_levels at m = 1 and ellm_census_levels otherwise."""
+    if m == 1:
+        levels = catalan_census_levels(ell, dstar)
+    else:
+        levels = ellm_census_levels(ell, m, dstar)
+    return [
+        (sum(all_counts.values()), sum(max_counts.values()),
+         slice_witness(all_counts, max_counts, max_area(i, m)))
+        for i, (all_counts, max_counts) in enumerate(levels, 1)
+    ]
 
 
 def _ellm_list(ell, m, a1, dstar):

@@ -15,8 +15,13 @@
  * kernels count into one store, a row of areas per degree (one level of
  * areas for a slope, one per level for an (ell, m) walk), grown to the
  * largest degree met, and make Python objects only when they return, in one
- * fold of each level's rows.  The listing kernels append each path they
- * keep to a Python list.
+ * fold of each level's rows.  census_levels_check(ell, m, dstar) counts the
+ * census of catalan_census_levels (m = 1) or ellm_census_levels into the
+ * same store and compares each level's two sides row by row there, so a
+ * passing level makes no Python object but its totals;
+ * slice_witness(all_counts, max_counts, M) lays two dicts out one row at a
+ * time and runs the same compare.  The listing kernels append each path
+ * they keep to a Python list.
  *
  * Inputs are limited to slopes n/s with n * s < LIMIT ((ell, m)-paths are
  * the paths of slope (m(ell+1)+1)/(ell+1)).  Then every intermediate value,
@@ -24,7 +29,9 @@
  * store's size, which store_grow holds within size_t.  A walk
  * is s - 1 (or ell) levels deep, and s (or ell + 1) is at most MAX_DEPTH.
  * An orbit takes the same (ell, m) limits and entries |a_i| < LIMIT.
- * qtcat.kernels checks the same limits before it calls in here.
+ * qtcat.kernels checks the same limits before it calls in here.  Counts
+ * that callers pass in, and the sums and differences of the comparisons,
+ * are added with overflow checks and raise OverflowError past int64.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -81,16 +88,15 @@ store_grow(Store *st, int64_t d)
     return 0;
 }
 
-/* dict[(d, a0 + x)] = cells[x * step] for each nonzero cell x < len */
+/* dict[(d, x)] = cells[2 x] for each nonzero cell x < len */
 static int
-fold_row(PyObject *dict, int64_t d, int64_t a0, const int64_t *cells, int64_t len,
-         int64_t step)
+fold_row(PyObject *dict, int64_t d, const int64_t *cells, int64_t len)
 {
     for (int64_t x = 0; x < len; x++) {
-        if (cells[x * step] == 0)
+        if (cells[2 * x] == 0)
             continue;
-        PyObject *k = Py_BuildValue("(LL)", (long long)d, (long long)(a0 + x));
-        PyObject *v = PyLong_FromLongLong(cells[x * step]);
+        PyObject *k = Py_BuildValue("(LL)", (long long)d, (long long)x);
+        PyObject *v = PyLong_FromLongLong(cells[2 * x]);
         int rc = (k == NULL || v == NULL) ? -1 : PyDict_SetItem(dict, k, v);
         Py_XDECREF(k);
         Py_XDECREF(v);
@@ -107,7 +113,7 @@ store_dict(const Store *st, int64_t j, int half)
     int64_t at = level_at(st->m, j), width = level_at(st->m, j + 1) - at;
     PyObject *dict = PyDict_New();
     for (int64_t d = 0; dict != NULL && d < st->rows; d++)
-        if (fold_row(dict, d, 0, st->counts + 2 * (d * st->stride + at) + half, width, 2) < 0)
+        if (fold_row(dict, d, st->counts + 2 * (d * st->stride + at) + half, width) < 0)
             Py_CLEAR(dict);
     return dict;
 }
@@ -123,6 +129,30 @@ store_level(const Store *st, int64_t j)
         return NULL;
     }
     return Py_BuildValue("(NN)", all, max);
+}
+
+/* OverflowError for a count, sum or difference past int64 */
+static int
+overflowed(void)
+{
+    PyErr_SetString(PyExc_OverflowError,
+                    "a count, a sum or a difference leaves the int64 range");
+    return -1;
+}
+
+/* *acc += x, or OverflowError */
+static int
+add_count(int64_t *acc, int64_t x)
+{
+    return __builtin_add_overflow(*acc, x, acc) ? overflowed() : 0;
+}
+
+/* *acc += a * b, or OverflowError */
+static int
+add_product(int64_t *acc, int64_t a, int64_t b)
+{
+    int64_t p;
+    return __builtin_mul_overflow(a, b, &p) ? overflowed() : add_count(acc, p);
 }
 
 /* a long walk still answers ^C */
@@ -453,31 +483,6 @@ fail:
     return -1;
 }
 
-/* [(all_counts, max_counts) for levels 1..ell]: level i counts the (i, m)-paths
-   with degr <= dstar, all from one walk at ell */
-static PyObject *
-ellm_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
-{
-    int64_t ell, m, dstar;
-    if (ellm_args(args, kwds, "LLL:ellm_census_levels", &ell, &m, &dstar) < 0)
-        return NULL;
-    /* no level has a path of degr above C(ell+1, 2) m */
-    int64_t M = m * ell * (ell + 1) / 2;
-    Store st = store_new(ell, m, (dstar < M ? dstar : M) + 1);
-    PyObject *out = NULL;
-    if (ellm_walk(ell, m, m, dstar, &st, NULL) == 0)
-        out = PyList_New(ell);
-    for (int64_t j = 0; out != NULL && j < ell; j++) {
-        PyObject *level = store_level(&st, j);
-        if (level == NULL)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, j, level);
-    }
-    PyMem_Free(st.counts);
-    return out;
-}
-
 /* (degr, positions) of each (ell, m)-path with degr <= dstar, or of each
    maximal one, in walk order */
 static PyObject *
@@ -537,8 +542,9 @@ ellm_maximal_bounded(PyObject *self, PyObject *args, PyObject *kwds)
  * 32,768, 256 KB) and 2,612 rows (63 KB).  Every count and coefficient is
  * summed and multiplied with overflow checks, so a count above 2**63 - 1
  * raises OverflowError rather than wrap; below ell = 35 none can, each
- * being at most Catalan(35).  max_counts come from one walk of the maximal
- * paths, the (ell, 1) walk from a_1 = 0. */
+ * being at most Catalan(35).  C_n's rows go into the all-paths half of
+ * level n - 1 of the store, and max_counts come from one walk of the
+ * maximal paths, the (ell, 1) walk from a_1 = 0. */
 
 /* the areas lo..hi of one row of F_{n,k}, at cells + off; empty while
    hi < lo */
@@ -546,34 +552,11 @@ typedef struct {
     int64_t lo, hi, off;
 } Row;
 
-/* *acc += a * b, or OverflowError */
+/* count into st, made for ell levels at m = 1 and dstar <= C(ell+1, 2), the
+   maximal paths by a walk and all paths by the recursion */
 static int
-add_product(int64_t *acc, int64_t a, int64_t b)
+catalan_store(int64_t ell, int64_t dstar, Store *st)
 {
-    int64_t p;
-    if (__builtin_mul_overflow(a, b, &p) || __builtin_add_overflow(*acc, p, acc)) {
-        PyErr_SetString(PyExc_OverflowError,
-                        "catalan_census_levels: a count exceeds 2**63 - 1");
-        return -1;
-    }
-    return 0;
-}
-
-static PyObject *
-catalan_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"ell", "dstar", NULL};
-    long long e, ds;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LL:catalan_census_levels", kwlist, &e, &ds))
-        return NULL;
-    if (!ellm_fits(e, 1) || ds < 0) {
-        PyErr_Format(PyExc_ValueError,
-                     "(ell, dstar) = (%lld, %lld): need ell >= 1, dstar >= 0 and ell < %d",
-                     e, ds, MAX_DEPTH);
-        return NULL;
-    }
-    /* no (i, 1)-path with i <= ell has degr above C(ell+1, 2) */
-    int64_t ell = e, M = ell * (ell + 1) / 2, dstar = ds < M ? ds : M;
     /* the rows of F_{n,k}, for n = 1..ell+1 and F_{ell+2,1}, start at
        rows + first[n] + (k - 1)(deep[n] + 1), deep[n] = min(dstar, C(n,2)) */
     int64_t first[MAX_DEPTH + 2], deep[MAX_DEPTH + 2];
@@ -584,26 +567,25 @@ catalan_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
     Row *rows = NULL;
     int64_t *co = PyMem_Calloc((size_t)dstar + 1, sizeof(int64_t));
     int64_t *cells = NULL, used = 0, cap = 0;
-    /* the walk from a_1 = 0 counts only maximal paths, in both halves */
-    Store st = store_new(ell, 1, dstar + 1);
     uint64_t ticks = 0;
-    PyObject *out = NULL;
+    int rc = -1;
     if (co == NULL) {
         PyErr_NoMemory();
-        goto fail;
+        goto done;
     }
-    if (ellm_walk(ell, 1, 0, dstar, &st, NULL) < 0)
-        goto fail;
-    out = PyList_New(ell);
-    if (out == NULL)
-        goto fail;
+    /* the walk from a_1 = 0 counts each maximal path in both halves; half 0
+       takes the recursion's counts instead */
+    if (ellm_walk(ell, 1, 0, dstar, st, NULL) < 0)
+        goto done;
+    for (int64_t x = 0; x < st->rows * st->stride; x++)
+        st->counts[2 * x] = 0;
     for (int64_t n = 1; n <= ell + 2; n++) {
         /* the rows of F_{n,1..n}, or of F_{ell+2,1} alone, all empty */
         int64_t kmax = n <= ell + 1 ? n : 1, nrows = first[n] + kmax * (deep[n] + 1);
         Row *grown = PyMem_Realloc(rows, (size_t)nrows * sizeof(Row));
         if (grown == NULL) {
             PyErr_NoMemory();
-            goto fail;
+            goto done;
         }
         rows = grown;
         for (int64_t x = first[n]; x < nrows; x++) {
@@ -635,7 +617,7 @@ catalan_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
                 int64_t *more = PyMem_Realloc(cells, (size_t)want * sizeof(int64_t));
                 if (more == NULL) {
                     PyErr_NoMemory();
-                    goto fail;
+                    goto done;
                 }
                 memset(more + cap, 0, (size_t)(want - cap) * sizeof(int64_t));
                 cells = more;
@@ -652,7 +634,7 @@ catalan_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
                     co[i] -= co[i - r - c];
                 for (int64_t i = r; i <= dstar; i++)
                     if (add_product(&co[i], co[i - r], 1) < 0)
-                        goto fail;
+                        goto done;
                 Row *g = src + (r - 1) * (deep[s] + 1);
                 for (int64_t d = 0; d <= deep[s] && d + c * (s - r) <= dstar; d++) {
                     if (g[d].hi < g[d].lo)
@@ -661,48 +643,251 @@ catalan_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
                     int64_t w = g[d].hi - g[d].lo + 1;
                     for (int64_t i = 0; i <= r * c && d + c * (s - r) + i <= dstar; i++) {
                         if (interrupted(&ticks))
-                            goto fail;
+                            goto done;
                         Row *t = f + d + c * (s - r) + i;
                         int64_t *to = cells + t->off + g[d].lo + s - t->lo;
                         for (int64_t x = 0; x < w; x++)
                             if (add_product(&to[x], co[i], from[x]) < 0)
-                                goto fail;
+                                goto done;
                     }
                 }
             }
         }
         if (n < 3)
             continue;
-        /* level n - 2 is C_{n-1} = t^(1-n) F_{n,1} */
+        /* level n - 2, at j = n - 3, is C_{n-1} = t^(1-n) F_{n,1} */
         Row *f = rows + first[n];
-        PyObject *all = PyDict_New();
-        for (int64_t d = 0; all != NULL && d <= deep[n]; d++)
-            if (f[d].hi >= f[d].lo && fold_row(all, d, f[d].lo - (n - 1), cells + f[d].off,
-                                               f[d].hi - f[d].lo + 1, 1) < 0)
-                Py_CLEAR(all);
-        PyObject *max = all == NULL ? NULL : store_dict(&st, n - 3, 1);
-        if (max == NULL) {
-            Py_XDECREF(all);
-            goto fail;
+        int64_t at = level_at(1, n - 3) - (n - 1);
+        for (int64_t d = 0; d <= deep[n]; d++) {
+            if (f[d].hi < f[d].lo)
+                continue;
+            if (d >= st->rows && store_grow(st, d) < 0)
+                goto done;
+            int64_t *c = st->counts + 2 * (d * st->stride + at + f[d].lo);
+            for (int64_t x = 0; x <= f[d].hi - f[d].lo; x++)
+                c[2 * x] = cells[f[d].off + x];
         }
-        PyObject *level = Py_BuildValue("(NN)", all, max);
-        if (level == NULL)
-            goto fail;
-        PyList_SET_ITEM(out, n - 3, level);
     }
+    rc = 0;
+done:
     PyMem_Free(rows);
     PyMem_Free(co);
     PyMem_Free(cells);
+    return rc;
+}
+
+/* ------------------------------------------------------------------------
+ * the census of levels 1..ell: ellm_census_levels and catalan_census_levels
+ * fold each level's rows into dicts; census_levels_check compares each
+ * level's two sides in its rows, and slice_witness does the same on two
+ * dicts.
+ *
+ * Slice d of a side is a row of areas j = 0..W-1, W = M - d + 2 (the
+ * areas of sym's range).  The left side holds the count of the paths at
+ * (d, j).  A maximal key (d, a) with count c adds c sym(a, b), b =
+ * M - d - a, the signed run sym_run(a, b), which steps by its signed c at
+ * lo and back at hi + 1: when a <= b the run is +[a, b], +c at a and -c at
+ * b + 1; otherwise it is -[b + 1, a - 1], -c at b + 1 and +c at a.  Either
+ * way the steps are +c at a and -c at b + 1 = W - 1 - a, so the right side
+ * at j is the running sum of X[i] - X[W - 1 - i] over i <= j, X the row of
+ * maximal counts, and the compare reads both halves of the row once. */
+
+/* lhs - rhs over the areas j < W of one degree row of a store, whose
+   counts of all paths and of maximal paths at the areas j < len are c[2 j]
+   and c[2 j + 1], and nothing past len.  Returns the number of nonzero
+   cells, or 1 at the first of them when out is NULL, and otherwise appends
+   (j, lhs - rhs) of each to out; -1 with an error set. */
+static int64_t
+row_diff(const int64_t *c, int64_t len, int64_t W, PyObject *out)
+{
+    int64_t rhs = 0, bad = 0;
+    for (int64_t j = 0; j < W; j++) {
+        int64_t k = W - 1 - j, diff;
+        if (__builtin_add_overflow(rhs, j < len ? c[2 * j + 1] : 0, &rhs)
+                || __builtin_sub_overflow(rhs, k < len ? c[2 * k + 1] : 0, &rhs)
+                || __builtin_sub_overflow(j < len ? c[2 * j] : 0, rhs, &diff))
+            return overflowed();
+        if (diff == 0)
+            continue;
+        bad++;
+        if (out == NULL)
+            return bad;
+        PyObject *cell = Py_BuildValue("(LL)", (long long)j, (long long)diff);
+        if (cell == NULL || PyList_Append(out, cell) < 0) {
+            Py_XDECREF(cell);
+            return -1;
+        }
+        Py_DECREF(cell);
+    }
+    return bad;
+}
+
+/* None, or (d, [(area, c), ...]) for the smallest degree d whose rows
+   differ in level j of st, as row_diff lists them; the level's max area is
+   M, and a row past M + 1 holds no key */
+static PyObject *
+level_witness(const Store *st, int64_t j, int64_t M)
+{
+    int64_t at = level_at(st->m, j), len = level_at(st->m, j + 1) - at;
+    for (int64_t d = 0; d < st->rows && d <= M + 1; d++) {
+        const int64_t *c = st->counts + 2 * (d * st->stride + at);
+        int64_t r = row_diff(c, len, M - d + 2, NULL);
+        if (r < 0)
+            return NULL;
+        if (r == 0)
+            continue;
+        PyObject *cells = PyList_New(0);
+        if (cells == NULL || row_diff(c, len, M - d + 2, cells) < 0) {
+            Py_XDECREF(cells);
+            return NULL;
+        }
+        return Py_BuildValue("(LN)", (long long)d, cells);
+    }
+    Py_RETURN_NONE;
+}
+
+/* (paths, maximal, witness) of level j, whose areas are 0..M */
+static PyObject *
+store_check(const Store *st, int64_t j)
+{
+    int64_t at = level_at(st->m, j), len = level_at(st->m, j + 1) - at;
+    int64_t paths = 0, maximal = 0;
+    for (int64_t d = 0; d < st->rows; d++) {
+        const int64_t *c = st->counts + 2 * (d * st->stride + at);
+        for (int64_t x = 0; x < len; x++)
+            if (add_count(&paths, c[2 * x]) < 0 || add_count(&maximal, c[2 * x + 1]) < 0)
+                return NULL;
+    }
+    PyObject *witness = level_witness(st, j, len - 1);
+    if (witness == NULL)
+        return NULL;
+    return Py_BuildValue("(LLN)", (long long)paths, (long long)maximal, witness);
+}
+
+/* [level(st, j) for each level], st counted by the walk, or at m = 1 with
+   catalan by catalan_store */
+static PyObject *
+levels_list(int64_t ell, int64_t m, int64_t dstar, int catalan,
+            PyObject *(*level)(const Store *, int64_t))
+{
+    /* no level has a path of degr above C(ell+1, 2) m */
+    int64_t M = m * ell * (ell + 1) / 2;
+    dstar = dstar < M ? dstar : M;
+    Store st = store_new(ell, m, dstar + 1);
+    PyObject *out = NULL;
+    if ((catalan ? catalan_store(ell, dstar, &st) : ellm_walk(ell, m, m, dstar, &st, NULL)) == 0)
+        out = PyList_New(ell);
+    for (int64_t j = 0; out != NULL && j < ell; j++) {
+        PyObject *item = level(&st, j);
+        if (item == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, j, item);
+    }
     PyMem_Free(st.counts);
     return out;
+}
 
-fail:
-    Py_XDECREF(out);
-    PyMem_Free(rows);
-    PyMem_Free(co);
-    PyMem_Free(cells);
+/* [(all_counts, max_counts) for levels 1..ell]: level i counts the (i, m)-paths
+   with degr <= dstar, all from one walk at ell */
+static PyObject *
+ellm_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    int64_t ell, m, dstar;
+    if (ellm_args(args, kwds, "LLL:ellm_census_levels", &ell, &m, &dstar) < 0)
+        return NULL;
+    return levels_list(ell, m, dstar, 0, store_level);
+}
+
+static PyObject *
+catalan_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"ell", "dstar", NULL};
+    long long e, ds;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LL:catalan_census_levels", kwlist, &e, &ds))
+        return NULL;
+    if (!ellm_fits(e, 1) || ds < 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "(ell, dstar) = (%lld, %lld): need ell >= 1, dstar >= 0 and ell < %d",
+                     e, ds, MAX_DEPTH);
+        return NULL;
+    }
+    return levels_list(e, 1, ds, 1, store_level);
+}
+
+/* [(paths, maximal, witness) for levels 1..ell], from the census of
+   catalan_census_levels at m = 1 and of ellm_census_levels otherwise */
+static PyObject *
+census_levels_check(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    int64_t ell, m, dstar;
+    if (ellm_args(args, kwds, "LLL:census_levels_check", &ell, &m, &dstar) < 0)
+        return NULL;
+    return levels_list(ell, m, dstar, m == 1, store_check);
+}
+
+/* *v = the int o, or OverflowError past int64 */
+static int
+as_int64(PyObject *o, long long *v)
+{
+    *v = PyLong_AsLongLong(o);
+    return *v == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* count the {(degr, area): count} dict into half of st's one level, whose
+   areas are 0..M+1; ValueError for a key out of that range */
+static int
+store_keys(Store *st, PyObject *dict, int half, int64_t M)
+{
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    while (PyDict_Next(dict, &pos, &key, &value)) {
+        long long d, a, c;
+        if (!PyTuple_Check(key) || PyTuple_GET_SIZE(key) != 2
+                || !PyLong_Check(PyTuple_GET_ITEM(key, 0))
+                || !PyLong_Check(PyTuple_GET_ITEM(key, 1)) || !PyLong_Check(value)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "slice_witness: need {(degr, area): count} with int entries");
+            return -1;
+        }
+        if (as_int64(PyTuple_GET_ITEM(key, 0), &d) < 0 || as_int64(PyTuple_GET_ITEM(key, 1), &a) < 0
+                || as_int64(value, &c) < 0)
+            return -1;
+        if (d < 0 || d > M + 1 || a < 0 || a > M - d + 1) {
+            PyErr_Format(PyExc_ValueError,
+                         "slice_witness: key (%lld, %lld) at M = %lld: need 0 <= degr and "
+                         "0 <= area <= M - degr + 1", d, a, (long long)M);
+            return -1;
+        }
+        if (d >= st->rows && store_grow(st, d) < 0)
+            return -1;
+        st->counts[2 * (d * st->stride + a) + half] = c;
+    }
+    return 0;
+}
+
+/* None, or the witness of the smallest bad degree: both dicts go into one
+   level of a store, areas 0..M+1 wide, and level_witness compares it */
+static PyObject *
+slice_witness(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"all_counts", "max_counts", "M", NULL};
+    PyObject *all, *max;
+    long long M;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!O!L:slice_witness", kwlist,
+                                     &PyDict_Type, &all, &PyDict_Type, &max, &M))
+        return NULL;
+    if (M < 0 || M >= LIMIT) {
+        PyErr_Format(PyExc_ValueError, "slice_witness: M = %lld: need 0 <= M < 2**31", M);
+        return NULL;
+    }
+    /* at m = M + 1 one level has M + 2 areas; no key has degr past M + 1 */
+    Store st = store_new(1, M + 1, M + 2);
+    PyObject *out = NULL;
+    if (store_keys(&st, all, 0, M) == 0 && store_keys(&st, max, 1, M) == 0)
+        out = level_witness(&st, 0, M);
     PyMem_Free(st.counts);
-    return NULL;
+    return out;
 }
 
 /* ------------------------------------------------------------------------
@@ -805,6 +990,16 @@ static PyMethodDef methods[] = {
      "catalan_census_levels(ell, dstar)\n--\n\n"
      "ellm_census_levels(ell, 1, dstar), its left sides from the Garsia-Haglund "
      "recursion; see qtcat._kernels_py."},
+    {"census_levels_check", (PyCFunction)(void (*)(void))census_levels_check,
+     METH_VARARGS | METH_KEYWORDS,
+     "census_levels_check(ell, m, dstar)\n--\n\n"
+     "For each level 1..ell, (paths, maximal, witness) of its census, compared in "
+     "the kernel's rows; see qtcat._kernels_py."},
+    {"slice_witness", (PyCFunction)(void (*)(void))slice_witness,
+     METH_VARARGS | METH_KEYWORDS,
+     "slice_witness(all_counts, max_counts, M)\n--\n\n"
+     "None when the sides built from two (degr, area) count tables agree, else the "
+     "smallest bad degree and its cells of lhs - rhs; see qtcat._kernels_py."},
     {"lowest_tuple", (PyCFunction)(void (*)(void))lowest_tuple,
      METH_VARARGS | METH_KEYWORDS,
      "lowest_tuple(a, m)\n--\n\n"

@@ -1,6 +1,6 @@
 """Kernel selection: the C extension when it was built, pure Python otherwise.
 
-Both backends export the same six functions with identical results:
+Both backends export the same eight functions with identical results:
 rational_census(n, s); the three (ell, m) kernels, which all take
 (ell, m, dstar) and walk the (ell, m)-paths with degr <= dstar:
 ellm_census_levels counts them, and in the same walk the shorter paths at
@@ -8,10 +8,13 @@ every level below, ellm_paths_bounded lists them and ellm_maximal_bounded
 lists the maximal ones; catalan_census_levels(ell, dstar), which returns
 ellm_census_levels(ell, 1, dstar) with the all_counts from the
 Garsia-Haglund recursion for the q,t-Catalan polynomials instead of a walk;
-and lowest_tuple(a, m), the
-end of the right orbit of a position tuple, which computation 1 and the
-projection check walk (the pure-Python backend runs
-qtcat.cycles.lowest_tuple).  The C module
+the two comparisons of a census's sides, slice_witness(all_counts,
+max_counts, M) on two count tables and census_levels_check(ell, m, dstar)
+on each level of the census of catalan_census_levels (m = 1) or
+ellm_census_levels, which the C kernel compares in its own rows without
+building the dicts; and lowest_tuple(a, m), the end of the right orbit of a
+position tuple, which computation 1 and the projection check walk (the
+pure-Python backend runs qtcat.cycles.lowest_tuple).  The C module
 qtcat._speedups is built by setup.py whenever a C compiler and Python.h are
 present; otherwise qtcat._kernels_py runs.  This module checks every input
 before it dispatches, so both backends reject the same inputs with the same
@@ -43,6 +46,14 @@ MAX_DEPTH = 512
 # at most the number of paths, C(n+s, s)/(n+s), and at most the number of
 # pairs degr + area <= M = (n-1)(s-1)/2, which is (M+1)(M+2)/2.
 MAX_KEYS = 2**20
+
+# slice_witness lays two count tables out as rows of the areas 0..M+1, one
+# for each degree 0..dmax, the largest degree in them, and compares them row
+# by row.  Tables whose (dmax + 1)(M + 2) cells exceed MAX_CELLS are
+# rejected before any compare.  Every census that check_slope admits fits:
+# the widest, 2506/3, has the degrees 0..835 over 2,507 areas, 2,095,852
+# cells.
+MAX_CELLS = 2**22
 
 
 class InputError(ValueError):
@@ -85,6 +96,30 @@ def check_ellm(ell, m, dstar):
         )
 
 
+def check_slices(all_counts, max_counts, M):
+    """Raise InputError unless slice_witness can compare the two (degr,
+    area) count tables at max area M: 0 <= M < 2**31, each key has 0 <= degr
+    and 0 <= area <= M - degr + 1 (sym's range), and their rows fit in
+    MAX_CELLS cells."""
+    if not 0 <= M < LIMIT:
+        raise InputError("M must be >= 0 and < 2**31")
+    rows = 0
+    for table in (all_counts, max_counts):
+        for d, a in table:
+            if d < 0 or not 0 <= a <= M - d + 1:
+                raise InputError(
+                    "key (%d, %d) is out of range: need 0 <= degr and "
+                    "0 <= area <= M - degr + 1 = %d" % (d, a, M - d + 1)
+                )
+            if d >= rows:
+                rows = d + 1
+    if rows * (M + 2) > MAX_CELLS:
+        raise InputError(
+            "the tables are too large to compare: their rows hold more than "
+            "2**22 (degr, area) cells"
+        )
+
+
 def rational_census(n, s):
     """(all_counts, max_counts): the paths of slope n/s counted by (degr,
     area), all of them and the maximal ones."""
@@ -110,6 +145,24 @@ def catalan_census_levels(ell, dstar):
     the maximal paths only; see qtcat._kernels_py.catalan_census_levels."""
     check_ellm(ell, 1, dstar)
     return _impl.catalan_census_levels(ell, dstar)
+
+
+def census_levels_check(ell, m, dstar):
+    """[(paths, maximal, witness) for levels 1..ell]: for each level i, the
+    numbers of (i, m)-paths and of maximal ones with degr <= dstar, and
+    slice_witness of its census at max area m*i*(i+1)/2; from the census of
+    catalan_census_levels at m = 1 and of ellm_census_levels otherwise."""
+    check_ellm(ell, m, dstar)
+    return _impl.census_levels_check(ell, m, dstar)
+
+
+def slice_witness(all_counts, max_counts, M):
+    """None when the left and right sides built from the (degr, area) count
+    tables at max area M agree, else (d, [(area, c), ...]): the smallest
+    degree whose slices differ and the nonzero cells of slice d of
+    lhs - rhs, in area order."""
+    check_slices(all_counts, max_counts, M)
+    return _impl.slice_witness(all_counts, max_counts, M)
 
 
 def ellm_paths_bounded(ell, m, dstar):

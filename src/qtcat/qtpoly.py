@@ -119,6 +119,33 @@ def sym_run(a, b):
     return b + 1, a - 1, -1
 
 
+def sym_steps(counts, M, steps, sign):
+    """Add to steps, keyed (d, j), sign times the first differences in j of
+    the sum of c * sym(a, M-d-a) over the keys (d, a) of counts, and return
+    steps.  sym_run gives each term as a signed run lo..hi, which steps by
+    its signed c at lo and back at hi + 1."""
+    for (d, a), c in counts.items():
+        lo, hi, run_sign = sym_run(a, M - d - a)
+        c *= sign * run_sign
+        key = d, lo
+        steps[key] = steps.get(key, 0) + c
+        key = d, hi + 1
+        steps[key] = steps.get(key, 0) - c
+    return steps
+
+
+def step_runs(steps):
+    """(d, lo, hi, value) for each stretch lo <= j < hi of a row d on which
+    the prefix sum in j of steps is a nonzero value.  The steps of a row
+    sum to 0, so the running sum is 0 again where the next row starts."""
+    value = 0
+    for (d, j), c in sorted(steps.items()):
+        if value:
+            yield d, lo, j, value
+        value += c
+        lo = j
+
+
 def sym(a, b):
     """(q^{b+1} t^a - q^a t^{b+1}) / (q - t), the signed run sym_run(a, b)."""
     if a < 0 or b < -1:

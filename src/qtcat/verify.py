@@ -18,7 +18,7 @@ from qtcat.bijections import (
     height_from_path,
 )
 from qtcat.paths import Record, max_area, max_area_rational
-from qtcat.qtpoly import QtPolynomial, sym_run
+from qtcat.qtpoly import QtPolynomial, step_runs, sym_steps
 
 
 class VerificationReport(Record):
@@ -67,38 +67,11 @@ def _lhs_from_census(all_counts, M):
     return QtPolynomial({(a, M - d - a): c for (d, a), c in all_counts.items()})
 
 
-def _rhs_steps(max_counts, M, steps, sign):
-    """Add to steps, keyed (d, j), sign times the first differences in the
-    area j of the right side's slices, and return steps.  A maximal-path key
-    (d, a) with count c adds sym(a, M-d-a), which sym_run gives as a signed
-    run lo..hi: it steps by its signed c at lo and back at hi + 1."""
-    for (d, a), c in max_counts.items():
-        lo, hi, run_sign = sym_run(a, M - d - a)
-        c *= sign * run_sign
-        key = d, lo
-        steps[key] = steps.get(key, 0) + c
-        key = d, hi + 1
-        steps[key] = steps.get(key, 0) - c
-    return steps
-
-
-def _runs(steps):
-    """(d, lo, hi, value) for each stretch lo <= j < hi of a slice on which
-    the prefix sum in j of steps is a nonzero value.  The steps of a slice
-    sum to 0, so the running sum is 0 again where the next slice starts."""
-    value = 0
-    for (d, j), c in sorted(steps.items()):
-        if value:
-            yield d, lo, j, value
-        value += c
-        lo = j
-
-
 def _rhs_from_census(max_counts, M):
     """The right side, whole, from the maximal paths' count table: the sum
     of sym(area, M-d-area), as the prefix sums of its steps."""
     rhs = {}
-    for d, lo, hi, c in _runs(_rhs_steps(max_counts, M, {}, 1)):
+    for d, lo, hi, c in step_runs(sym_steps(max_counts, M, {}, 1)):
         rhs.update(((j, M - d - j), c) for j in range(lo, hi))
     return QtPolynomial(rhs)
 
@@ -108,29 +81,15 @@ def _slices_from_census(all_counts, max_counts, M):
     return _lhs_from_census(all_counts, M), _rhs_from_census(max_counts, M)
 
 
-def _witness(all_counts, max_counts, M):
-    """None when the sides of _slices_from_census agree, else the smallest d
-    whose slices differ and slice d of lhs - rhs, without building the sides.
-
-    Slice d of a side is a sequence in the area j, equal to another exactly
-    when their first differences in j are.  A path key (d, a) with count c
-    steps lhs by +c at a and -c at a + 1; a run lo..hi steps rhs by +c at lo
-    and -c at hi + 1.  So one pass over the keys, whatever the runs' lengths,
-    gives lhs's steps minus rhs's, and slice d of lhs - rhs is their prefix
-    sums."""
-    steps = dict(all_counts)
-    for (d, a), c in all_counts.items():
-        key = d, a + 1
-        steps[key] = steps.get(key, 0) - c
-    _rhs_steps(max_counts, M, steps, -1)
-    if not any(steps.values()):
+def _witness(bad, M):
+    """The report form of a kernel's witness: None stays None, and (d,
+    [(area, c), ...]), the smallest degree d whose slices differ and the
+    nonzero terms of slice d of lhs - rhs, becomes {"d": d, "difference":
+    [{"q": area, "t": M - d - area, "c": c}, ...]}."""
+    if bad is None:
         return None
-    d = min(dd for (dd, _), c in steps.items() if c)
-    row = {key: c for key, c in steps.items() if key[0] == d}
-    difference = [
-        {"q": j, "t": M - d - j, "c": c} for _, lo, hi, c in _runs(row) for j in range(lo, hi)
-    ]
-    return {"d": d, "difference": difference}
+    d, cells = bad
+    return {"d": d, "difference": [{"q": j, "t": M - d - j, "c": c} for j, c in cells]}
 
 
 def _rational_census(n, s):
@@ -166,7 +125,7 @@ def check_conjecture(n, s):
     t0 = time.perf_counter()
     all_counts, max_counts, M = _rational_census(n, s)
     lhs, rhs = _slices_from_census(all_counts, max_counts, M)
-    witness = _witness(all_counts, max_counts, M)
+    witness = _witness(kernels.slice_witness(all_counts, max_counts, M), M)
     return VerificationReport(
         params={"n": n, "s": s},
         verdict=witness is None,
@@ -224,22 +183,18 @@ def computation1(m, dstar):
 def computation2(m, dstar):
     """Slice identity for every ell <= lstar(m, dstar) and every d <= dstar.
 
-    One walk at lstar counts every level; at m = 1 the left sides come from
-    the Garsia-Haglund recursion instead, and only the maximal paths are
-    walked.  _witness compares each level's sides without assembling them."""
+    kernels.census_levels_check counts and compares every level at once:
+    one walk at lstar, or at m = 1 the Garsia-Haglund recursion for the left
+    sides and a walk of the maximal paths only."""
     t0 = time.perf_counter()
     witness = None
     paths = maximal = 0
-    if m == 1:
-        levels = kernels.catalan_census_levels(lstar(m, dstar), dstar)
-    else:
-        levels = kernels.ellm_census_levels(lstar(m, dstar), m, dstar)
-    for ell, (all_counts, max_counts) in enumerate(levels, 1):
-        paths += sum(all_counts.values())
-        maximal += sum(max_counts.values())
-        bad = _witness(all_counts, max_counts, max_area(ell, m))
+    levels = kernels.census_levels_check(lstar(m, dstar), m, dstar)
+    for ell, (level_paths, level_maximal, bad) in enumerate(levels, 1):
+        paths += level_paths
+        maximal += level_maximal
         if bad is not None:
-            witness = {"ell": ell, **bad}
+            witness = {"ell": ell, **_witness(bad, max_area(ell, m))}
             break
     return VerificationReport(
         params={"m": m, "dstar": dstar, "lstar": lstar(m, dstar)},

@@ -128,6 +128,100 @@ def test_catalan_census_matches_golden_digests(impl, dstar):
         assert result_digest(census) == golden[key], key
 
 
+def levels_check_oracle(levels, m):
+    """What census_levels_check returns for the dict census levels, with the
+    pure-Python slice_witness."""
+    return [
+        (sum(all_counts.values()), sum(max_counts.values()),
+         _kernels_py.slice_witness(all_counts, max_counts, paths.max_area(i, m)))
+        for i, (all_counts, max_counts) in enumerate(levels, 1)
+    ]
+
+
+def levels_check_grid():
+    """(backend, ell, m) for ell <= 7 and m <= 4 with at most 500,000
+    (ell, m)-paths on C and 8,000 on pure Python, as each dstar walks again:
+    all but (7, 4) on C, whose 2,330,445 paths take 2 s over its 114 cuts."""
+    for ell in range(1, 8):
+        for m in range(1, 5):
+            n, s = m * (ell + 1) + 1, ell + 1
+            count = comb(n + s, s) // (n + s)
+            if count <= 8000:
+                yield "python", ell, m
+            if count <= 500000:
+                yield "c", ell, m
+
+
+@pytest.mark.parametrize("impl,ell,m", levels_check_grid(), indirect=["impl"])
+def test_census_levels_check_matches_its_oracle(impl, ell, m):
+    # every cut from dstar 0 to past the largest degree C(ell+1, 2) m, where
+    # nothing is cut, and a dstar far past it; the cut census is the whole
+    # one without the keys past dstar
+    top = comb(ell + 1, 2) * m
+    if m == 1:
+        census = impl.catalan_census_levels(ell, top)
+    else:
+        census = impl.ellm_census_levels(ell, m, top)
+    for dstar in [*range(top + 2), 2**63 - 1]:
+        levels = [
+            tuple({key: c for key, c in table.items() if key[0] <= dstar} for table in level)
+            for level in census
+        ]
+        got = impl.census_levels_check(ell, m, dstar)
+        assert got == levels_check_oracle(levels, m), dstar
+
+
+@pytest.mark.parametrize("dstar", [15, 20, 24])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_c_census_levels_check_matches_its_oracle_at_lstar(speedups, m, dstar):
+    ell = verify.lstar(m, dstar)
+    if m == 1:
+        levels = speedups.catalan_census_levels(ell, dstar)
+    else:
+        levels = speedups.ellm_census_levels(ell, m, dstar)
+    got = speedups.census_levels_check(ell, m, dstar)
+    assert got == levels_check_oracle(levels, m)
+
+
+@BACKENDS
+def test_slice_witness_sums_are_exact(impl, monkeypatch):
+    # counts past int64 give OverflowError on C, never a verdict, and exact
+    # witnesses on pure Python
+    monkeypatch.setattr(kernels, "_impl", impl)
+    M = 4
+    cases = [
+        # 2**62 paths at (0, 0) less the run -[0, M] of 2**62 maximal paths
+        # at (0, M + 1): 2**62 twice in the cell (0, 0) of lhs - rhs
+        ({(0, 0): 2**62}, {(0, M + 1): 2**62},
+         (0, [(0, 2**63), *((j, 2**62) for j in range(1, M + 1))])),
+        # the runs [0, M] and [1, M - 1] of 2**62 maximal paths each: 2**63
+        # in the run sum at area 1
+        ({}, {(0, 0): 2**62, (0, 1): 2**62},
+         (0, [(0, -(2**62)), (1, -(2**63)), (2, -(2**63)), (3, -(2**63)), (4, -(2**62))])),
+        ({(0, 0): 2**63}, {}, (0, [(0, 2**63)])),
+        ({}, {(1, 0): -(2**63) - 1}, (1, [(j, 2**63 + 1) for j in range(M)])),
+    ]
+    for all_counts, max_counts, want in cases:
+        if impl is _kernels_py:
+            assert kernels.slice_witness(all_counts, max_counts, M) == want
+        else:
+            with pytest.raises(OverflowError):
+                kernels.slice_witness(all_counts, max_counts, M)
+
+
+@BACKENDS
+def test_slice_witness_admits_every_census_check_slope_admits(impl, monkeypatch):
+    # the widest, 2506/3, has the degrees 0..835 over M + 2 = 2,507 areas:
+    # 2,095,852 cells; its rows are laid out here with one path each
+    monkeypatch.setattr(kernels, "_impl", impl)
+    table = {(d, 0): 1 for d in range(836)}
+    assert kernels.slice_witness(table, {}, 2505) == (0, [(0, 1)])
+    # 2**11 rows of 2**11 areas, exactly MAX_CELLS cells, and of one more
+    kernels.check_slices({(2**11 - 1, 0): 1}, {}, 2**11 - 2)
+    with pytest.raises(kernels.InputError):
+        kernels.slice_witness({(2**11 - 1, 0): 1}, {}, 2**11 - 1)
+
+
 @BACKENDS
 @pytest.mark.parametrize("ell,m,dstar", [(1, 3, 5), (4, 3, 6), (5, 2, 8), *SLIDES])
 def test_maximal_bounded_matches_oracle(impl, ell, m, dstar):
@@ -416,6 +510,8 @@ def test_projection_matches_the_tuple_orbit_oracle(impl, monkeypatch):
 # a census that could hold more than kernels.MAX_KEYS keys: every path of
 # slope 10001/3 has its own (degr, area) key, 16,675,001 of them
 TOO_MANY_KEYS = [("rational_census", (10001, 3))]
+# two rows of 2**21 + 2 areas each: more than kernels.MAX_CELLS to compare
+TOO_MANY_CELLS = [("slice_witness", ({(1, 0): 1}, {}, 2**21))]
 
 BAD_INPUT = [
     ("rational_census", (6, 3)),
@@ -450,6 +546,19 @@ BAD_INPUT = [
     ("ellm_paths_bounded", (3, 2, 2**63)),
     ("ellm_paths_bounded", (2000, 1, 3)),
     ("ellm_paths_bounded", (kernels.MAX_DEPTH, 1, 0)),
+    ("census_levels_check", (3, 2, -1)),
+    ("census_levels_check", (0, 2, 3)),
+    ("census_levels_check", (3, 0, 3)),
+    ("census_levels_check", (3, 2, 2**63)),
+    ("census_levels_check", (46340, 1, 0)),
+    ("census_levels_check", (kernels.MAX_DEPTH, 1, 0)),
+    ("slice_witness", ({}, {}, -1)),
+    ("slice_witness", ({}, {}, 2**31)),
+    ("slice_witness", ({(-1, 0): 1}, {}, 3)),
+    ("slice_witness", ({(0, -1): 1}, {}, 3)),
+    ("slice_witness", ({}, {(1, 4): 1}, 3)),
+    ("slice_witness", ({(5, 0): 1}, {}, 3)),
+    *TOO_MANY_CELLS,
     ("lowest_tuple", ((0, 1, 2), 0)),
     ("lowest_tuple", ((0,) * (kernels.MAX_DEPTH + 1), 1)),
     ("lowest_tuple", ((0, 2**31), 1)),
@@ -469,6 +578,8 @@ def test_census_rejects_bad_input(impl, monkeypatch):
         impl.ellm_maximal_bounded(3, 2, -1)
     with pytest.raises(ValueError):
         impl.ellm_paths_bounded(3, 2, -1)
+    with pytest.raises(ValueError):
+        impl.census_levels_check(3, 2, -1)
     # and qtcat.kernels checks every input before it dispatches, so each
     # backend rejects the same inputs with the same InputError
     monkeypatch.setattr(kernels, "_impl", impl)
@@ -492,7 +603,7 @@ def test_c_kernel_rejects_out_of_range_input(speedups):
     # int64 arithmetic in range, while the bound on a census's size is
     # qtcat.kernels' alone
     for name, args in BAD_INPUT:
-        if (name, args) in TOO_MANY_KEYS:
+        if (name, args) in TOO_MANY_KEYS + TOO_MANY_CELLS:
             continue
         with pytest.raises((ValueError, OverflowError)):
             getattr(speedups, name)(*args)

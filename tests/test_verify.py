@@ -88,14 +88,21 @@ def test_check_conjecture():
         check_conjecture(6, 3)
 
 
-def test_check_conjecture_witness_is_smallest_bad_degree(monkeypatch):
+# both backends, named last in the test ids: [python]
+BACKENDS = pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
+
+
+@BACKENDS
+def test_check_conjecture_witness_is_smallest_bad_degree(impl, monkeypatch):
     # one extra path at d = 19 on the left and one extra maximal path at
-    # d = 7 on the right break the identity at both degrees
+    # d = 7 on the right break the identity at both degrees; the witness
+    # comes from kernels.slice_witness on the backend
     all_counts, max_counts = kernels.rational_census(13, 8)
     all_bad = dict(all_counts)
     all_bad[(19, 10)] = all_bad.get((19, 10), 0) + 1
     max_bad = dict(max_counts)
     max_bad[(7, 5)] += 1
+    monkeypatch.setattr(kernels, "_impl", impl)
     monkeypatch.setattr(kernels, "rational_census", lambda n, s: (all_bad, max_bad))
     r = check_conjecture(13, 8)
     M = 42
@@ -109,7 +116,8 @@ def test_check_conjecture_witness_is_smallest_bad_degree(monkeypatch):
 
 
 def test_computation2_witness_is_smallest_bad_degree(monkeypatch):
-    census = kernels.ellm_census_levels
+    # the pure-Python census_levels_check compares the dict census it reads
+    census = _kernels_py.ellm_census_levels
 
     def perturbed(ell, m, dstar):
         levels = census(ell, m, dstar)
@@ -118,7 +126,8 @@ def test_computation2_witness_is_smallest_bad_degree(monkeypatch):
         max_counts[(2, 1)] = max_counts.get((2, 1), 0) + 1
         return levels
 
-    monkeypatch.setattr(kernels, "ellm_census_levels", perturbed)
+    monkeypatch.setattr(kernels, "_impl", _kernels_py)
+    monkeypatch.setattr(_kernels_py, "ellm_census_levels", perturbed)
     r = computation2(2, 6)
     M = paths.max_area(3, 2)
     assert not r.verdict
@@ -129,7 +138,7 @@ def test_computation2_witness_is_smallest_bad_degree(monkeypatch):
 
 def test_computation2_witness_at_m_1_is_smallest_bad_level_and_degree(monkeypatch):
     # m = 1 takes its levels from catalan_census_levels and walks nothing else
-    census = kernels.catalan_census_levels
+    census = _kernels_py.catalan_census_levels
 
     def perturbed(ell, dstar):
         levels = census(ell, dstar)
@@ -141,14 +150,30 @@ def test_computation2_witness_at_m_1_is_smallest_bad_level_and_degree(monkeypatc
         all_counts[(0, 2)] = all_counts.get((0, 2), 0) + 1
         return levels
 
-    monkeypatch.setattr(kernels, "catalan_census_levels", perturbed)
-    monkeypatch.setattr(kernels, "ellm_census_levels", None)
+    monkeypatch.setattr(kernels, "_impl", _kernels_py)
+    monkeypatch.setattr(_kernels_py, "catalan_census_levels", perturbed)
+    monkeypatch.setattr(_kernels_py, "ellm_census_levels", None)
     r = computation2(1, 6)
     M = paths.max_area(3, 1)
     assert not r.verdict
     assert list(r.witness) == ["ell", "d", "difference"]
     assert (r.witness["ell"], r.witness["d"]) == (3, 2)
     assert QtPolynomial.from_obj(r.witness["difference"]) == -sym(1, M - 2 - 1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_c_computation2_builds_no_dict_census(speedups, monkeypatch, m):
+    # a passing computation 2 on C counts and compares in the kernel's rows:
+    # neither dict census is called
+    monkeypatch.setattr(kernels, "_impl", speedups)
+    want = computation2(m, 6)
+    for module in (kernels, speedups):
+        monkeypatch.setattr(module, "ellm_census_levels", None)
+        monkeypatch.setattr(module, "catalan_census_levels", None)
+    got = computation2(m, 6)
+    assert got.verdict and got.witness is None
+    assert got.counts["paths"] == want.counts["paths"] > 0
+    assert got.counts["maximal"] == want.counts["maximal"] > 0
 
 
 def rhs_by_sym(max_counts, M):
@@ -224,7 +249,7 @@ def perturbed_censuses(draw):
 def mismatch(lhs, rhs, M):
     """The witness by polynomial subtraction, for the smallest d whose slices
     differ: d and slice d of lhs - rhs, or None when the sides agree.  The
-    definition that _witness's first differences replace."""
+    definition that slice_witness's row compare replaces."""
     if lhs == rhs:
         return None
     diff = lhs - rhs
@@ -232,11 +257,28 @@ def mismatch(lhs, rhs, M):
     return {"d": d, "difference": diff.slice_total_degree(M - d).to_obj()}
 
 
-@given(perturbed_censuses())
-def test_witness_equals_the_polynomial_difference(census):
-    all_counts, max_counts, M = census
-    lhs, rhs = verify._slices_from_census(all_counts, max_counts, M)
-    assert verify._witness(all_counts, max_counts, M) == mismatch(lhs, rhs, M)
+@BACKENDS
+def test_witness_equals_the_polynomial_difference(impl, monkeypatch):
+    # kernels.slice_witness on the backend, formatted by verify._witness
+    monkeypatch.setattr(kernels, "_impl", impl)
+
+    @given(perturbed_censuses())
+    def check(census):
+        all_counts, max_counts, M = census
+        lhs, rhs = verify._slices_from_census(all_counts, max_counts, M)
+        bad = kernels.slice_witness(all_counts, max_counts, M)
+        assert verify._witness(bad, M) == mismatch(lhs, rhs, M)
+
+    # and right sides alone with a key in each of sym's three branches
+    @given(census_tables())
+    def check_runs(table):
+        max_counts, M = table
+        rhs = rhs_by_sym(max_counts, M)
+        bad = kernels.slice_witness({}, max_counts, M)
+        assert verify._witness(bad, M) == mismatch(QtPolynomial(), rhs, M)
+
+    check()
+    check_runs()
 
 
 def test_report_json_shape():
