@@ -5,26 +5,25 @@ path universe (or its degree-bounded part) once, maintaining the degree
 statistic incrementally from prefix sums.  rational_census counts the paths
 of a slope by (degr, area).  The three (ell, m) kernels all take (ell, m,
 dstar) and share one degree-pruned walk: ellm_census_levels counts the paths
-with degr <= dstar by (degr, area) at every level 1..ell of that walk,
-ellm_paths_bounded lists them and ellm_maximal_bounded lists the maximal
-ones.  The fifth, catalan_census_levels(ell, dstar), returns
-ellm_census_levels(ell, 1, dstar) with the all_counts from the
-Garsia-Haglund recursion and walks only the maximal paths.
-slice_witness(all_counts, max_counts, M) compares the two sides of the
-conjecture built from a census, by their first differences in the area,
-and census_levels_check(ell, m, dstar) gives each level's totals and
-slice_witness from the dict censuses above; the C kernel compares in its
-count rows instead.  The eighth, lowest_tuple(a, m), the end of a right
-orbit, is qtcat.cycles.lowest_tuple itself.  A compiled twin with identical
-signatures lives in qtcat._speedups; qtcat.kernels picks whichever is
-importable.
+with degr <= dstar by (degr, area) at every level 1..ell of that walk (at
+m = 1 it takes the all_counts from the Garsia-Haglund recursion and walks
+only the maximal paths), ellm_paths_bounded lists them and
+ellm_maximal_bounded lists the maximal ones.  slice_witness(all_counts,
+max_counts, M) compares the two sides of the conjecture built from a
+census, by their first differences in the area, and
+census_levels_check(ell, m, dstar) gives each level's totals and
+slice_witness from the dict census of ellm_census_levels; the C kernel
+compares in its count rows instead.  The seventh, lowest_tuple(a, m), the
+end of a right orbit, is qtcat.cycles.lowest_tuple itself.  A compiled twin
+with identical signatures lives in qtcat._speedups; qtcat.kernels picks
+whichever is importable.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from qtcat.cycles import lowest_tuple  # noqa: F401 - the eighth kernel
+from qtcat.cycles import lowest_tuple  # noqa: F401 - the seventh kernel
 from qtcat.paths import alpha, max_area
 from qtcat.qtpoly import step_runs, sym_steps
 
@@ -128,7 +127,10 @@ def _ellm_walk(ell, m, a1, dstar, visit, first):
 def ellm_census_levels(ell, m, dstar):
     """[(all_counts, max_counts) for levels 1..ell]: level i counts the
     (i, m)-paths with degr <= dstar by (degr, area), as rational_census
-    does (maximal = a_1 == 0), all from one walk at ell."""
+    does (maximal = a_1 == 0), all from one walk at ell, or at m = 1 from
+    _catalan_levels."""
+    if m == 1:
+        return _catalan_levels(ell, dstar)
     levels = [({}, {}) for _ in range(ell)]
 
     def count(i, d, ar, a):
@@ -142,10 +144,10 @@ def ellm_census_levels(ell, m, dstar):
     return levels
 
 
-def catalan_census_levels(ell, dstar):
-    """What ellm_census_levels(ell, 1, dstar) returns, with every level's
-    all_counts from the Garsia-Haglund recursion (Discrete Math. 256, 2002)
-    cut at dstar instead of a walk.
+def _catalan_levels(ell, dstar):
+    """ellm_census_levels(ell, 1, dstar), with every level's all_counts from
+    the Garsia-Haglund recursion (Discrete Math. 256, 2002) cut at dstar
+    instead of a walk.
 
     Level i counts the Dyck paths of size n = i + 1, whose sum of
     q^dinv t^area is C_n = F_{n,1} + ... + F_{n,n} with F_{n,n} = q^C(n,2)
@@ -232,11 +234,8 @@ def slice_witness(all_counts, max_counts, M):
 def census_levels_check(ell, m, dstar):
     """[(paths, maximal, witness) for levels 1..ell]: the totals of level
     i's census and slice_witness of it at max_area(i, m), from
-    catalan_census_levels at m = 1 and ellm_census_levels otherwise."""
-    if m == 1:
-        levels = catalan_census_levels(ell, dstar)
-    else:
-        levels = ellm_census_levels(ell, m, dstar)
+    ellm_census_levels."""
+    levels = ellm_census_levels(ell, m, dstar)
     return [
         (sum(all_counts.values()), sum(max_counts.values()),
          slice_witness(all_counts, max_counts, max_area(i, m)))

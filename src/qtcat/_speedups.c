@@ -7,18 +7,18 @@
  * ellm_paths_bounded and ellm_maximal_bounded, all take (ell, m, dstar) and
  * share one degree-pruned walk, which slides the degree from one try to the
  * next in O(1) over a histogram of the earlier positions (of at most
- * HIST_CAP entries); lowest_tuple(a, m) iterates the cycle map right on one
- * position tuple; catalan_census_levels(ell, dstar) is ellm_census_levels
- * at m = 1 with the path counts from the Garsia-Haglund recursion, cut at
- * dstar, and a walk of the maximal paths only.  Each walk is an iterative
- * depth-first loop over int64 arrays sized to the instance.  The census
- * kernels count into one store, a row of areas per degree (one level of
- * areas for a slope, one per level for an (ell, m) walk), grown to the
- * largest degree met, and make Python objects only when they return, in one
- * fold of each level's rows.  census_levels_check(ell, m, dstar) counts the
- * census of catalan_census_levels (m = 1) or ellm_census_levels into the
- * same store and compares each level's two sides row by row there, so a
- * passing level makes no Python object but its totals;
+ * HIST_CAP entries), except that at m = 1 ellm_census_levels takes the path
+ * counts from the Garsia-Haglund recursion, cut at dstar, and walks the
+ * maximal paths only; lowest_tuple(a, m) iterates the cycle map right on
+ * one position tuple.  Each walk is an iterative depth-first loop over
+ * int64 arrays sized to the instance.  The census kernels count into one
+ * store, a row of areas per degree (one level of areas for a slope, one per
+ * level for an (ell, m) census), grown to the largest degree met, and make
+ * Python objects only when they return, in one fold of each level's rows.
+ * census_levels_check(ell, m, dstar) counts the census of
+ * ellm_census_levels into the same store and compares each level's two
+ * sides row by row there, so a passing level makes no Python object but
+ * its totals;
  * slice_witness(all_counts, max_counts, M) lays two dicts out one row at a
  * time and runs the same compare.  The listing kernels append each path
  * they keep to a Python list.
@@ -510,9 +510,9 @@ ellm_maximal_bounded(PyObject *self, PyObject *args, PyObject *kwds)
 }
 
 /* ------------------------------------------------------------------------
- * catalan_census_levels(ell, dstar): what ellm_census_levels(ell, 1, dstar)
- * returns, with the all_counts of every level from the Garsia-Haglund
- * recursion (Discrete Math. 256, 2002) instead of a walk.
+ * the census at m = 1: ellm_census_levels(ell, 1, dstar) takes the
+ * all_counts of every level from the Garsia-Haglund recursion (Discrete
+ * Math. 256, 2002) instead of a walk.
  *
  * Level i counts the (i, 1)-paths, the Dyck paths of size n = i + 1, and
  * their sum of q^dinv t^area is C_n = F_{n,1} + ... + F_{n,n} with
@@ -573,12 +573,11 @@ catalan_store(int64_t ell, int64_t dstar, Store *st)
         PyErr_NoMemory();
         goto done;
     }
-    /* the walk from a_1 = 0 counts each maximal path in both halves; half 0
-       takes the recursion's counts instead */
+    /* the walk from a_1 = 0 counts each maximal path in both halves; the
+       recursion then overwrites every all-paths cell a path can reach, and
+       a maximal path is a path, so it leaves no maximal count there */
     if (ellm_walk(ell, 1, 0, dstar, st, NULL) < 0)
         goto done;
-    for (int64_t x = 0; x < st->rows * st->stride; x++)
-        st->counts[2 * x] = 0;
     for (int64_t n = 1; n <= ell + 2; n++) {
         /* the rows of F_{n,1..n}, or of F_{ell+2,1} alone, all empty */
         int64_t kmax = n <= ell + 1 ? n : 1, nrows = first[n] + kmax * (deep[n] + 1);
@@ -677,10 +676,10 @@ done:
 }
 
 /* ------------------------------------------------------------------------
- * the census of levels 1..ell: ellm_census_levels and catalan_census_levels
- * fold each level's rows into dicts; census_levels_check compares each
- * level's two sides in its rows, and slice_witness does the same on two
- * dicts.
+ * the census of levels 1..ell, counted by catalan_store at m = 1 and by
+ * the walk otherwise: ellm_census_levels folds each level's rows into
+ * dicts; census_levels_check compares each level's two sides in its rows,
+ * and slice_witness does the same on two dicts.
  *
  * Slice d of a side is a row of areas j = 0..W-1, W = M - d + 2 (the
  * areas of sym's range).  The left side holds the count of the paths at
@@ -764,18 +763,17 @@ store_check(const Store *st, int64_t j)
     return Py_BuildValue("(LLN)", (long long)paths, (long long)maximal, witness);
 }
 
-/* [level(st, j) for each level], st counted by the walk, or at m = 1 with
-   catalan by catalan_store */
+/* [level(st, j) for each level], st counted by catalan_store at m = 1 and
+   by the walk otherwise */
 static PyObject *
-levels_list(int64_t ell, int64_t m, int64_t dstar, int catalan,
-            PyObject *(*level)(const Store *, int64_t))
+levels_list(int64_t ell, int64_t m, int64_t dstar, PyObject *(*level)(const Store *, int64_t))
 {
     /* no level has a path of degr above C(ell+1, 2) m */
     int64_t M = m * ell * (ell + 1) / 2;
     dstar = dstar < M ? dstar : M;
     Store st = store_new(ell, m, dstar + 1);
     PyObject *out = NULL;
-    if ((catalan ? catalan_store(ell, dstar, &st) : ellm_walk(ell, m, m, dstar, &st, NULL)) == 0)
+    if ((m == 1 ? catalan_store(ell, dstar, &st) : ellm_walk(ell, m, m, dstar, &st, NULL)) == 0)
         out = PyList_New(ell);
     for (int64_t j = 0; out != NULL && j < ell; j++) {
         PyObject *item = level(&st, j);
@@ -789,41 +787,25 @@ levels_list(int64_t ell, int64_t m, int64_t dstar, int catalan,
 }
 
 /* [(all_counts, max_counts) for levels 1..ell]: level i counts the (i, m)-paths
-   with degr <= dstar, all from one walk at ell */
+   with degr <= dstar, all at once */
 static PyObject *
 ellm_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
 {
     int64_t ell, m, dstar;
     if (ellm_args(args, kwds, "LLL:ellm_census_levels", &ell, &m, &dstar) < 0)
         return NULL;
-    return levels_list(ell, m, dstar, 0, store_level);
+    return levels_list(ell, m, dstar, store_level);
 }
 
-static PyObject *
-catalan_census_levels(PyObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"ell", "dstar", NULL};
-    long long e, ds;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LL:catalan_census_levels", kwlist, &e, &ds))
-        return NULL;
-    if (!ellm_fits(e, 1) || ds < 0) {
-        PyErr_Format(PyExc_ValueError,
-                     "(ell, dstar) = (%lld, %lld): need ell >= 1, dstar >= 0 and ell < %d",
-                     e, ds, MAX_DEPTH);
-        return NULL;
-    }
-    return levels_list(e, 1, ds, 1, store_level);
-}
-
-/* [(paths, maximal, witness) for levels 1..ell], from the census of
-   catalan_census_levels at m = 1 and of ellm_census_levels otherwise */
+/* [(paths, maximal, witness) for levels 1..ell] of the census of
+   ellm_census_levels */
 static PyObject *
 census_levels_check(PyObject *self, PyObject *args, PyObject *kwds)
 {
     int64_t ell, m, dstar;
     if (ellm_args(args, kwds, "LLL:census_levels_check", &ell, &m, &dstar) < 0)
         return NULL;
-    return levels_list(ell, m, dstar, m == 1, store_check);
+    return levels_list(ell, m, dstar, store_check);
 }
 
 /* *v = the int o, or OverflowError past int64 */
@@ -985,11 +967,6 @@ static PyMethodDef methods[] = {
      "ellm_maximal_bounded(ell, m, dstar)\n--\n\n"
      "List of (degr, positions) over maximal (ell, m)-paths with degr <= dstar; "
      "see qtcat._kernels_py."},
-    {"catalan_census_levels", (PyCFunction)(void (*)(void))catalan_census_levels,
-     METH_VARARGS | METH_KEYWORDS,
-     "catalan_census_levels(ell, dstar)\n--\n\n"
-     "ellm_census_levels(ell, 1, dstar), its left sides from the Garsia-Haglund "
-     "recursion; see qtcat._kernels_py."},
     {"census_levels_check", (PyCFunction)(void (*)(void))census_levels_check,
      METH_VARARGS | METH_KEYWORDS,
      "census_levels_check(ell, m, dstar)\n--\n\n"

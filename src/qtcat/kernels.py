@@ -1,20 +1,19 @@
 """Kernel selection: the C extension when it was built, pure Python otherwise.
 
-Both backends export the same eight functions with identical results:
+Both backends export the same seven functions with identical results:
 rational_census(n, s); the three (ell, m) kernels, which all take
 (ell, m, dstar) and walk the (ell, m)-paths with degr <= dstar:
 ellm_census_levels counts them, and in the same walk the shorter paths at
-every level below, ellm_paths_bounded lists them and ellm_maximal_bounded
-lists the maximal ones; catalan_census_levels(ell, dstar), which returns
-ellm_census_levels(ell, 1, dstar) with the all_counts from the
-Garsia-Haglund recursion for the q,t-Catalan polynomials instead of a walk;
-the two comparisons of a census's sides, slice_witness(all_counts,
+every level below (at m = 1 it takes the all_counts from the
+Garsia-Haglund recursion for the q,t-Catalan polynomials instead of a walk),
+ellm_paths_bounded lists them and ellm_maximal_bounded lists the maximal
+ones; the two comparisons of a census's sides, slice_witness(all_counts,
 max_counts, M) on two count tables and census_levels_check(ell, m, dstar)
-on each level of the census of catalan_census_levels (m = 1) or
-ellm_census_levels, which the C kernel compares in its own rows without
-building the dicts; and lowest_tuple(a, m), the end of the right orbit of a
-position tuple, which computation 1 and the projection check walk (the
-pure-Python backend runs qtcat.cycles.lowest_tuple).  The C module
+on each level of the census of ellm_census_levels, which the C kernel
+compares in its own rows without building the dicts; and
+lowest_tuple(a, m), the end of the right orbit of a position tuple, which
+computation 1 and the projection check walk (the pure-Python backend runs
+qtcat.cycles.lowest_tuple).  The C module
 qtcat._speedups is built by setup.py whenever a C compiler and Python.h are
 present; otherwise qtcat._kernels_py runs.  This module checks every input
 before it dispatches, so both backends reject the same inputs with the same
@@ -129,7 +128,9 @@ def rational_census(n, s):
 
 def ellm_census_levels(ell, m, dstar):
     """[(all_counts, max_counts) for levels 1..ell]: entry i - 1 counts the
-    (i, m)-paths with degr <= dstar, all from one walk at ell."""
+    (i, m)-paths with degr <= dstar, all from one walk at ell, or at m = 1
+    from the Garsia-Haglund recursion cut at dstar and a walk of the maximal
+    paths only; see qtcat._kernels_py._catalan_levels."""
     check_ellm(ell, m, dstar)
     return _impl.ellm_census_levels(ell, m, dstar)
 
@@ -139,19 +140,11 @@ def ellm_census_bounded(ell, m, dstar):
     return ellm_census_levels(ell, m, dstar)[-1]
 
 
-def catalan_census_levels(ell, dstar):
-    """ellm_census_levels(ell, 1, dstar), its all_counts from the
-    Garsia-Haglund recursion cut at dstar and its max_counts from a walk of
-    the maximal paths only; see qtcat._kernels_py.catalan_census_levels."""
-    check_ellm(ell, 1, dstar)
-    return _impl.catalan_census_levels(ell, dstar)
-
-
 def census_levels_check(ell, m, dstar):
     """[(paths, maximal, witness) for levels 1..ell]: for each level i, the
     numbers of (i, m)-paths and of maximal ones with degr <= dstar, and
     slice_witness of its census at max area m*i*(i+1)/2; from the census of
-    catalan_census_levels at m = 1 and of ellm_census_levels otherwise."""
+    ellm_census_levels."""
     check_ellm(ell, m, dstar)
     return _impl.census_levels_check(ell, m, dstar)
 

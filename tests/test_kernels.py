@@ -14,6 +14,7 @@ import time
 from functools import lru_cache
 from math import comb, gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,6 +49,22 @@ def oracle_ellm(ell, m, dstar):
     return ac, mc
 
 
+def walk_levels(ell, m, dstar):
+    """ellm_census_levels(ell, m, dstar) counted path by path on the
+    pure-Python walk from a_1 = m, at m = 1 too, where the kernels take the
+    Garsia-Haglund recursion instead."""
+    levels = [({}, {}) for _ in range(ell)]
+
+    def count(i, d, ar, a):
+        all_counts, max_counts = levels[i - 1]
+        all_counts[d, ar] = all_counts.get((d, ar), 0) + 1
+        if a[1] == 0:
+            max_counts[d, ar] = max_counts.get((d, ar), 0) + 1
+
+    _kernels_py._ellm_walk(ell, m, m, dstar, count, 1)
+    return levels
+
+
 # both backends, named last in the test ids: [5-3-python]
 BACKENDS = pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
 
@@ -78,18 +95,11 @@ def test_ellm_census_matches_oracle(impl, ell, m, dstar):
 @BACKENDS
 @pytest.mark.parametrize("ell", range(1, 8))
 def test_catalan_census_matches_the_walk(impl, ell):
-    # every cut from dstar 0 to past the largest degree C(ell+1, 2), where
-    # nothing is cut, and a dstar far past it
+    # the m = 1 census comes from the recursion; every cut from dstar 0 to
+    # past the largest degree C(ell+1, 2), where nothing is cut, and a dstar
+    # far past it
     for dstar in [*range(comb(ell + 1, 2) + 2), 2**63 - 1]:
-        got = impl.catalan_census_levels(ell, dstar)
-        assert got == impl.ellm_census_levels(ell, 1, dstar), dstar
-
-
-@pytest.mark.parametrize("dstar", [15, 20, 24])
-def test_c_catalan_census_matches_the_walk_at_lstar(speedups, dstar):
-    ell = verify.lstar(1, dstar)
-    got = speedups.catalan_census_levels(ell, dstar)
-    assert got == speedups.ellm_census_levels(ell, 1, dstar)
+        assert impl.ellm_census_levels(ell, 1, dstar) == walk_levels(ell, 1, dstar), dstar
 
 
 def level_totals(ell, census):
@@ -109,7 +119,7 @@ def test_c_catalan_census_matches_the_walk_at_dstar_28(speedups):
     # the walk takes seconds here (70,374,634 paths over 131,198 keys), so
     # its levels are committed rather than walked again
     want = json.loads(LEVELS_28.read_text())["levels"]
-    got = speedups.catalan_census_levels(verify.lstar(1, 28), 28)
+    got = speedups.ellm_census_levels(verify.lstar(1, 28), 1, 28)
     assert [level_totals(ell, census) for ell, census in enumerate(got, 1)] == want
     assert sum(level["paths"] for level in want) == 70374634
     assert sum(level["keys"] for level in want) == 131198
@@ -122,7 +132,7 @@ def test_catalan_census_matches_golden_digests(impl, dstar):
     if impl is _kernels_py and dstar == 24 and not os.environ.get("QTCAT_FULL_BASECASE"):
         pytest.skip("pure-Python d* = 24 is opt-in; set QTCAT_FULL_BASECASE=1")
     golden = json.loads(GOLDEN.read_text())
-    levels = impl.catalan_census_levels(verify.lstar(1, dstar), dstar)
+    levels = impl.ellm_census_levels(verify.lstar(1, dstar), 1, dstar)
     for ell, census in enumerate(levels, 1):
         key = "ellm_census_bounded%r" % ((ell, 1, dstar),)
         assert result_digest(census) == golden[key], key
@@ -158,10 +168,7 @@ def test_census_levels_check_matches_its_oracle(impl, ell, m):
     # nothing is cut, and a dstar far past it; the cut census is the whole
     # one without the keys past dstar
     top = comb(ell + 1, 2) * m
-    if m == 1:
-        census = impl.catalan_census_levels(ell, top)
-    else:
-        census = impl.ellm_census_levels(ell, m, top)
+    census = impl.ellm_census_levels(ell, m, top)
     for dstar in [*range(top + 2), 2**63 - 1]:
         levels = [
             tuple({key: c for key, c in table.items() if key[0] <= dstar} for table in level)
@@ -175,12 +182,8 @@ def test_census_levels_check_matches_its_oracle(impl, ell, m):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_c_census_levels_check_matches_its_oracle_at_lstar(speedups, m, dstar):
     ell = verify.lstar(m, dstar)
-    if m == 1:
-        levels = speedups.catalan_census_levels(ell, dstar)
-    else:
-        levels = speedups.ellm_census_levels(ell, m, dstar)
     got = speedups.census_levels_check(ell, m, dstar)
-    assert got == levels_check_oracle(levels, m)
+    assert got == levels_check_oracle(speedups.ellm_census_levels(ell, m, dstar), m)
 
 
 @BACKENDS
@@ -531,11 +534,9 @@ BAD_INPUT = [
     ("ellm_census_levels", (46340, 1, 0)),
     ("ellm_census_levels", (1, 2**30, 0)),
     ("ellm_census_levels", (kernels.MAX_DEPTH, 1, 0)),
-    ("catalan_census_levels", (3, -1)),
-    ("catalan_census_levels", (0, 3)),
-    ("catalan_census_levels", (3, 2**63)),
-    ("catalan_census_levels", (46340, 0)),
-    ("catalan_census_levels", (kernels.MAX_DEPTH, 0)),
+    ("ellm_census_levels", (3, 1, -1)),
+    ("ellm_census_levels", (0, 1, 3)),
+    ("ellm_census_levels", (3, 1, 2**63)),
     ("ellm_maximal_bounded", (3, 2, -1)),
     ("ellm_maximal_bounded", (0, 1, 3)),
     ("ellm_maximal_bounded", (10**20, 1, 3)),
@@ -573,7 +574,7 @@ def test_census_rejects_bad_input(impl, monkeypatch):
     with pytest.raises(ValueError):
         impl.ellm_census_levels(3, 2, -1)
     with pytest.raises(ValueError):
-        impl.catalan_census_levels(3, -1)
+        impl.ellm_census_levels(3, 1, -1)
     with pytest.raises(ValueError):
         impl.ellm_maximal_bounded(3, 2, -1)
     with pytest.raises(ValueError):
@@ -612,7 +613,19 @@ def test_c_kernel_rejects_out_of_range_input(speedups):
             speedups.lowest_tuple(a, 1)
 
 
-def test_selected_backend_exports():
+# every kernel of the contract, with one input that qtcat.kernels admits
+KERNELS = {
+    "rational_census": (5, 3),
+    "ellm_census_levels": (3, 1, 4),
+    "ellm_paths_bounded": (3, 2, 4),
+    "ellm_maximal_bounded": (3, 2, 4),
+    "census_levels_check": (3, 1, 4),
+    "slice_witness": ({(0, 0): 1}, {}, 2),
+    "lowest_tuple": ((0, 0, 2), 1),
+}
+
+
+def test_selected_backend_exports(request, monkeypatch):
     assert kernels.BACKEND in ("c", "python")
     assert kernels.rational_census(5, 3) == oracle_rational(5, 3)
     assert kernels.ellm_paths_bounded(4, 3, 5) == [
@@ -621,6 +634,24 @@ def test_selected_backend_exports():
         if paths.degr_alpha(p) <= 5
     ]
     assert kernels.lowest_tuple((0, 0, 2, 2, 1), 3) == (0, 2, 4, 7, 10)
+    # qtcat.kernels dispatches each kernel of the contract
+    stub = {name: lambda *args, name=name: (name, args) for name in KERNELS}
+    monkeypatch.setattr(kernels, "_impl", SimpleNamespace(**stub))
+    for name, args in KERNELS.items():
+        assert getattr(kernels, name)(*args) == (name, args)
+    # and each backend exports those kernels and BACKEND, and nothing else
+    # public: the pure-Python one its own functions and qtcat.cycles'
+    # lowest_tuple
+    contract = {*KERNELS, "BACKEND"}
+    own = {
+        name for name, value in vars(_kernels_py).items()
+        if not name.startswith("_")
+        and getattr(value, "__module__", None) == _kernels_py.__name__
+    }
+    assert own | {"lowest_tuple", "BACKEND"} == contract
+    assert _kernels_py.lowest_tuple is cycles.lowest_tuple
+    speedups = request.getfixturevalue("speedups")
+    assert {name for name in dir(speedups) if not name.startswith("_")} == contract
 
 
 def test_backends_agree_on_larger_instance(speedups):
@@ -688,5 +719,7 @@ def test_census_matches_golden_digests(impl):
 
 
 if __name__ == "__main__":
-    # rewrites the golden digests, from the pure-Python kernels only
-    GOLDEN.write_text(json.dumps(golden_digests(_kernels_py), indent=1) + "\n")
+    # rewrites the golden digests from the pure-Python kernels only, every
+    # census from the walk, m = 1 too
+    walked = SimpleNamespace(**{**vars(_kernels_py), "ellm_census_levels": walk_levels})
+    GOLDEN.write_text(json.dumps(golden_digests(walked), indent=1) + "\n")

@@ -137,8 +137,10 @@ def test_computation2_witness_is_smallest_bad_degree(monkeypatch):
 
 
 def test_computation2_witness_at_m_1_is_smallest_bad_level_and_degree(monkeypatch):
-    # m = 1 takes its levels from catalan_census_levels and walks nothing else
-    census = _kernels_py.catalan_census_levels
+    # m = 1 takes its levels from _catalan_levels, whose one walk is of the
+    # maximal paths, from a_1 = 0
+    census = _kernels_py._catalan_levels
+    walk = _kernels_py._ellm_walk
 
     def perturbed(ell, dstar):
         levels = census(ell, dstar)
@@ -150,9 +152,13 @@ def test_computation2_witness_at_m_1_is_smallest_bad_level_and_degree(monkeypatc
         all_counts[(0, 2)] = all_counts.get((0, 2), 0) + 1
         return levels
 
+    def maximal_walk(ell, m, a1, dstar, visit, first):
+        assert a1 == 0, "an all-paths walk ran at m = 1"
+        return walk(ell, m, a1, dstar, visit, first)
+
     monkeypatch.setattr(kernels, "_impl", _kernels_py)
-    monkeypatch.setattr(_kernels_py, "catalan_census_levels", perturbed)
-    monkeypatch.setattr(_kernels_py, "ellm_census_levels", None)
+    monkeypatch.setattr(_kernels_py, "_catalan_levels", perturbed)
+    monkeypatch.setattr(_kernels_py, "_ellm_walk", maximal_walk)
     r = computation2(1, 6)
     M = paths.max_area(3, 1)
     assert not r.verdict
@@ -164,12 +170,11 @@ def test_computation2_witness_at_m_1_is_smallest_bad_level_and_degree(monkeypatc
 @pytest.mark.parametrize("m", [1, 2])
 def test_c_computation2_builds_no_dict_census(speedups, monkeypatch, m):
     # a passing computation 2 on C counts and compares in the kernel's rows:
-    # neither dict census is called
+    # the dict census is not called
     monkeypatch.setattr(kernels, "_impl", speedups)
     want = computation2(m, 6)
     for module in (kernels, speedups):
         monkeypatch.setattr(module, "ellm_census_levels", None)
-        monkeypatch.setattr(module, "catalan_census_levels", None)
     got = computation2(m, 6)
     assert got.verdict and got.witness is None
     assert got.counts["paths"] == want.counts["paths"] > 0
