@@ -3,27 +3,29 @@
 These are the hot loops behind the verification drivers: they walk the whole
 path universe (or its degree-bounded part) once, maintaining the degree
 statistic incrementally from prefix sums.  rational_census counts the paths
-of a slope by (degr, area).  The three (ell, m) kernels all take (ell, m,
+of a slope by (degr, area).  The four (ell, m) kernels all take (ell, m,
 dstar) and share one degree-pruned walk: ellm_census_levels counts the paths
 with degr <= dstar by (degr, area) at every level 1..ell of that walk (at
 m = 1 it takes the all_counts from the Garsia-Haglund recursion and walks
-only the maximal paths), ellm_paths_bounded lists them and
-ellm_maximal_bounded lists the maximal ones.  slice_witness(all_counts,
-max_counts, M) compares the two sides of the conjecture built from a
-census, by their first differences in the area, and
-census_levels_check(ell, m, dstar) gives each level's totals and
-slice_witness from the dict census of ellm_census_levels; the C kernel
-compares in its count rows instead.  The seventh, lowest_tuple(a, m), the
-end of a right orbit, is qtcat.cycles.lowest_tuple itself.  A compiled twin
-with identical signatures lives in qtcat._speedups; qtcat.kernels picks
-whichever is importable.
+only the maximal paths), ellm_paths_bounded lists them,
+ellm_maximal_bounded lists the maximal ones, and maximal_orbit_check runs
+base-case computation 1 on that listing, one height_from_path and one
+lowest_tuple per path.  slice_witness(all_counts, max_counts, M) compares
+the two sides of the conjecture built from a census, by their first
+differences in the area, and census_levels_check(ell, m, dstar) gives each
+level's totals and slice_witness from the dict census of
+ellm_census_levels; the C kernel compares in its count rows instead.  The
+eighth, lowest_tuple(a, m), the end of a right orbit, is
+qtcat.cycles.lowest_tuple itself.  A compiled twin with identical signatures
+lives in qtcat._speedups; qtcat.kernels picks whichever is importable.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from qtcat.cycles import lowest_tuple  # noqa: F401 - the seventh kernel
+from qtcat.bijections import height_from_path
+from qtcat.cycles import lowest_tuple  # the eighth kernel
 from qtcat.paths import alpha, max_area
 from qtcat.qtpoly import step_runs, sym_steps
 
@@ -259,3 +261,20 @@ def ellm_maximal_bounded(ell, m, dstar):
     """List of (degr, positions) over the maximal (ell, m)-paths with
     degr <= dstar, in walk order."""
     return _ellm_list(ell, m, 0, dstar)
+
+
+def maximal_orbit_check(ell, m, dstar):
+    """(checked, None) when every maximal (ell, m)-path x with degr <=
+    dstar has area(lowest(x)) <= M - height(x) - degr(x), M =
+    max_area(ell, m), else (checked, (degr, positions, lowest_area)) for
+    the first that fails in walk order; checked counts the paths up to and
+    including it."""
+    M = max_area(ell, m)
+    checked = 0
+    for d, a in ellm_maximal_bounded(ell, m, dstar):
+        checked += 1
+        h = height_from_path(a)
+        low = sum(lowest_tuple(a, m))
+        if low > M - h - d:
+            return checked, (d, a, low)
+    return checked, None

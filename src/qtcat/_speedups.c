@@ -3,15 +3,19 @@
  * rational_census(n, s) walks the paths of a slope and takes each node's
  * degree step in O(1) from gamma tables its parent built (one row per later
  * depth, indexed by the sum of the coordinates in between), dividing
- * nothing; the three (ell, m) kernels, ellm_census_levels,
- * ellm_paths_bounded and ellm_maximal_bounded, all take (ell, m, dstar) and
- * share one degree-pruned walk, which slides the degree from one try to the
- * next in O(1) over a histogram of the earlier positions (of at most
- * HIST_CAP entries), except that at m = 1 ellm_census_levels takes the path
- * counts from the Garsia-Haglund recursion, cut at dstar, and walks the
- * maximal paths only; lowest_tuple(a, m) iterates the cycle map right on
- * one position tuple.  Each walk is an iterative depth-first loop over
- * int64 arrays sized to the instance.  The census kernels count into one
+ * nothing; the four (ell, m) kernels, ellm_census_levels,
+ * ellm_paths_bounded, ellm_maximal_bounded and maximal_orbit_check, all
+ * take (ell, m, dstar) and share one degree-pruned walk, which slides the
+ * degree from one try to the next in O(1) over a histogram of the earlier
+ * positions (of at most HIST_CAP entries), except that at m = 1
+ * ellm_census_levels takes the path counts from the Garsia-Haglund
+ * recursion, cut at dstar, and walks the maximal paths only;
+ * maximal_orbit_check runs base-case computation 1 at each leaf of a walk of
+ * the maximal paths: the height from the positions in place and the right
+ * orbit on a copy, with no Python object per path; lowest_tuple(a, m) runs
+ * the same orbit routine, right_orbit, on one position tuple.  Each walk is
+ * an iterative depth-first loop over int64 arrays sized to the instance.
+ * The census kernels count into one
  * store, a row of areas per degree (one level of areas for a slope, one per
  * level for an (ell, m) census), grown to the largest degree met, and make
  * Python objects only when they return, in one fold of each level's rows.
@@ -314,7 +318,7 @@ done:
 
 /* ------------------------------------------------------------------------
  * the degree-bounded (ell, m) walk, shared by ellm_census_levels,
- * ellm_paths_bounded and ellm_maximal_bounded */
+ * ellm_paths_bounded, ellm_maximal_bounded and maximal_orbit_check */
 
 /* the (ell, m) limits, shared with lowest_tuple */
 static int
@@ -354,6 +358,91 @@ alpha(int64_t a, int64_t b, int64_t m)
 /* the largest position histogram a walk allocates */
 #define HIST_CAP ((int64_t)1 << 16)
 
+/* the tuple (a_0, ..., a_ell) */
+static PyObject *
+positions_tuple(const int64_t *a, int64_t ell)
+{
+    PyObject *out = PyTuple_New(ell + 1);
+    for (int64_t k = 0; out != NULL && k <= ell; k++) {
+        PyObject *ak = PyLong_FromLongLong(a[k]);
+        if (ak == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, k, ak);
+    }
+    return out;
+}
+
+/* iterate right on the positions a = (a_0, ..., a_ell) until unrightable,
+   in place, as qtcat.cycles.lowest_tuple does on tuples */
+static int
+right_orbit(int64_t *a, int64_t ell, int64_t m)
+{
+    /* each right step moves the area by one, so more than max_area of them
+       is a bug, raised rather than looped on */
+    int64_t steps = m * ell * (ell + 1) / 2;
+    for (;;) {
+        /* the point: minimal r with a_r - a_ell > -m, at most ell */
+        int64_t last = a[ell], r = 0;
+        while (a[r] - last <= -m)
+            r++;
+        if (r == ell)
+            return 0;
+        /* unrightable when the pair, the minimal k with a_k - a_{k+2} >= -m,
+           lies below r - 1 */
+        int64_t k = 0;
+        while (k + 2 <= r && a[k] - a[k + 2] < -m)
+            k++;
+        if (k + 2 <= r)
+            return 0;
+        if (steps-- == 0) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "right_tuple orbit exceeded the area range; implementation bug");
+            return -1;
+        }
+        /* cycleright at r: a_ell + 1 moves in after a_r */
+        memmove(a + r + 2, a + r + 1, (size_t)(ell - r - 1) * sizeof(int64_t));
+        a[r + 1] = last + 1;
+    }
+}
+
+/* computation 1's orbit bound, checked at the leaves of a walk of the
+   maximal paths: the number of paths checked, and the first path that
+   fails, as (degr, positions, lowest area), or NULL */
+typedef struct {
+    int64_t checked;
+    PyObject *witness;
+} Bound;
+
+/* check area(lowest(a)) <= M - height(a) - d, M = max_area(ell, m), on the
+   maximal path a of area sum(a), where height(a) = (g - 1) ell + j - sum(a),
+   g = max(a) and j is the last index of g
+   (qtcat.bijections.height_from_path); a failing path leaves its witness
+   in chk.  -1 with an error set. */
+static int
+orbit_bound(Bound *chk, const int64_t *a, int64_t ell, int64_t m, int64_t d, int64_t area)
+{
+    int64_t low[MAX_DEPTH + 1], g = a[0], j = 0, lowest = 0;
+    for (int64_t k = 0; k <= ell; k++) {
+        low[k] = a[k];
+        if (a[k] >= g) {
+            g = a[k];
+            j = k;
+        }
+    }
+    if (right_orbit(low, ell, m) < 0)
+        return -1;
+    for (int64_t k = 0; k <= ell; k++)
+        lowest += low[k];
+    chk->checked++;
+    if (lowest <= m * ell * (ell + 1) / 2 - ((g - 1) * ell + j - area) - d)
+        return 0;
+    PyObject *positions = positions_tuple(a, ell);
+    chk->witness = positions == NULL
+        ? NULL : Py_BuildValue("(LNL)", (long long)d, positions, (long long)lowest);
+    return chk->witness == NULL ? -1 : 0;
+}
+
 /* Walks the (ell, m)-paths with degr <= dstar in the order of _kernels_py:
    a_1 runs down from a1 (m for every path, 0 for the maximal ones only),
    each later a_i from a_{i-1} + m, and a prefix whose running degree
@@ -361,7 +450,9 @@ alpha(int64_t a, int64_t b, int64_t m)
    nodes the walk enters at level i are then exactly the (i, m)-paths with
    degr <= dstar.  With a store, the walk counts each of them at level
    i - 1 of it, as maximal when a_1 = 0; with a list out, it appends
-   (degr, positions) of each path at level ell to out.
+   (degr, positions) of each path at level ell to out; with a Bound chk, a
+   walk of the maximal paths checks each path at level ell against
+   computation 1's orbit bound and stops at the first that fails.
 
    The degree of a try a_i = v is
      d(v) = degr(a_1..a_{i-1}) - max(v - m, 0) + sum over k < i of alpha(a_k, v).
@@ -377,7 +468,8 @@ alpha(int64_t a, int64_t b, int64_t m)
    0..(ell + 1)m + 1.  Past HIST_CAP entries it is not allocated and every
    try takes the O(i) sum, so a huge m costs no memory. */
 static int
-ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar, Store *st, PyObject *out)
+ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar, Store *st, PyObject *out,
+          Bound *chk)
 {
     /* per depth i: a = a_i, ar = a_1 + ... + a_{i-1}, and for the last try
        v = a_i: dv = d(v), up = up(v), lo = lo(v); so dv[i - 1] is the
@@ -455,20 +547,17 @@ ellm_walk(int64_t ell, int64_t m, int64_t a1, int64_t dstar, Store *st, PyObject
             first = 1;
             continue;
         }
+        if (chk != NULL) {
+            if (orbit_bound(chk, a, ell, m, d, ar[i] + v) < 0)
+                goto fail;
+            if (chk->witness != NULL)
+                break;
+            continue;
+        }
         if (out == NULL)
             continue;
-        PyObject *item = PyTuple_New(ell + 1);
-        if (item == NULL)
-            goto fail;
-        for (int64_t k = 0; k <= ell; k++) {
-            PyObject *ak = PyLong_FromLongLong(a[k]);
-            if (ak == NULL) {
-                Py_DECREF(item);
-                goto fail;
-            }
-            PyTuple_SET_ITEM(item, k, ak);
-        }
-        item = Py_BuildValue("(LN)", (long long)d, item);
+        PyObject *item = positions_tuple(a, ell);
+        item = item == NULL ? NULL : Py_BuildValue("(LN)", (long long)d, item);
         if (item == NULL || PyList_Append(out, item) < 0) {
             Py_XDECREF(item);
             goto fail;
@@ -492,7 +581,7 @@ ellm_list(PyObject *args, PyObject *kwds, const char *fmt, int maximal)
     if (ellm_args(args, kwds, fmt, &ell, &m, &dstar) < 0)
         return NULL;
     PyObject *out = PyList_New(0);
-    if (out != NULL && ellm_walk(ell, m, maximal ? 0 : m, dstar, NULL, out) < 0)
+    if (out != NULL && ellm_walk(ell, m, maximal ? 0 : m, dstar, NULL, out, NULL) < 0)
         Py_CLEAR(out);
     return out;
 }
@@ -507,6 +596,22 @@ static PyObject *
 ellm_maximal_bounded(PyObject *self, PyObject *args, PyObject *kwds)
 {
     return ellm_list(args, kwds, "LLL:ellm_maximal_bounded", 1);
+}
+
+/* (checked, None), or (checked, (degr, positions, lowest area)) for the
+   first maximal path in walk order that fails computation 1's orbit bound;
+   checked counts the paths up to and including it */
+static PyObject *
+maximal_orbit_check(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    int64_t ell, m, dstar;
+    if (ellm_args(args, kwds, "LLL:maximal_orbit_check", &ell, &m, &dstar) < 0)
+        return NULL;
+    Bound chk = {0, NULL};
+    if (ellm_walk(ell, m, 0, dstar, NULL, NULL, &chk) < 0)
+        return NULL;
+    return Py_BuildValue("(LN)", (long long)chk.checked,
+                         chk.witness != NULL ? chk.witness : Py_NewRef(Py_None));
 }
 
 /* ------------------------------------------------------------------------
@@ -576,7 +681,7 @@ catalan_store(int64_t ell, int64_t dstar, Store *st)
     /* the walk from a_1 = 0 counts each maximal path in both halves; the
        recursion then overwrites every all-paths cell a path can reach, and
        a maximal path is a path, so it leaves no maximal count there */
-    if (ellm_walk(ell, 1, 0, dstar, st, NULL) < 0)
+    if (ellm_walk(ell, 1, 0, dstar, st, NULL, NULL) < 0)
         goto done;
     for (int64_t n = 1; n <= ell + 2; n++) {
         /* the rows of F_{n,1..n}, or of F_{ell+2,1} alone, all empty */
@@ -773,7 +878,9 @@ levels_list(int64_t ell, int64_t m, int64_t dstar, PyObject *(*level)(const Stor
     dstar = dstar < M ? dstar : M;
     Store st = store_new(ell, m, dstar + 1);
     PyObject *out = NULL;
-    if ((m == 1 ? catalan_store(ell, dstar, &st) : ellm_walk(ell, m, m, dstar, &st, NULL)) == 0)
+    int rc = m == 1 ? catalan_store(ell, dstar, &st)
+                    : ellm_walk(ell, m, m, dstar, &st, NULL, NULL);
+    if (rc == 0)
         out = PyList_New(ell);
     for (int64_t j = 0; out != NULL && j < ell; j++) {
         PyObject *item = level(&st, j);
@@ -873,8 +980,8 @@ slice_witness(PyObject *self, PyObject *args, PyObject *kwds)
 }
 
 /* ------------------------------------------------------------------------
- * lowest_tuple(a, m): iterate right on the positions a = (a_0, ..., a_ell)
- * until unrightable, in place, as qtcat.cycles.lowest_tuple does on tuples */
+ * lowest_tuple(a, m): the end of the right orbit of one position tuple, by
+ * right_orbit, the routine computation 1 runs at each leaf of its walk */
 
 static PyObject *
 lowest_tuple(PyObject *self, PyObject *args, PyObject *kwds)
@@ -905,44 +1012,7 @@ lowest_tuple(PyObject *self, PyObject *args, PyObject *kwds)
         }
         a[k] = v;
     }
-    /* each right step moves the area by one, so more than max_area of them
-       is a bug, raised rather than looped on */
-    int64_t steps = m * ell * (ell + 1) / 2;
-    for (;;) {
-        /* the point: minimal r with a_r - a_ell > -m, at most ell */
-        int64_t last = a[ell], r = 0;
-        while (a[r] - last <= -m)
-            r++;
-        if (r == ell)
-            break;
-        /* unrightable when the pair, the minimal k with a_k - a_{k+2} >= -m,
-           lies below r - 1 */
-        int64_t k = 0;
-        while (k + 2 <= r && a[k] - a[k + 2] < -m)
-            k++;
-        if (k + 2 <= r)
-            break;
-        if (steps-- == 0) {
-            PyErr_SetString(PyExc_RuntimeError,
-                            "right_tuple orbit exceeded the area range; implementation bug");
-            return NULL;
-        }
-        /* cycleright at r: a_ell + 1 moves in after a_r */
-        memmove(a + r + 2, a + r + 1, (size_t)(ell - r - 1) * sizeof(int64_t));
-        a[r + 1] = last + 1;
-    }
-    PyObject *out = PyTuple_New(len);
-    if (out == NULL)
-        return NULL;
-    for (int64_t i = 0; i <= ell; i++) {
-        PyObject *ai = PyLong_FromLongLong(a[i]);
-        if (ai == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(out, i, ai);
-    }
-    return out;
+    return right_orbit(a, ell, m) < 0 ? NULL : positions_tuple(a, ell);
 }
 
 /* ------------------------------------------------------------------------ */
@@ -967,6 +1037,11 @@ static PyMethodDef methods[] = {
      "ellm_maximal_bounded(ell, m, dstar)\n--\n\n"
      "List of (degr, positions) over maximal (ell, m)-paths with degr <= dstar; "
      "see qtcat._kernels_py."},
+    {"maximal_orbit_check", (PyCFunction)(void (*)(void))maximal_orbit_check,
+     METH_VARARGS | METH_KEYWORDS,
+     "maximal_orbit_check(ell, m, dstar)\n--\n\n"
+     "Check computation 1's orbit bound on each maximal (ell, m)-path with degr <= "
+     "dstar: the number checked and the first failure; see qtcat._kernels_py."},
     {"census_levels_check", (PyCFunction)(void (*)(void))census_levels_check,
      METH_VARARGS | METH_KEYWORDS,
      "census_levels_check(ell, m, dstar)\n--\n\n"

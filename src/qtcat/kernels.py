@@ -1,19 +1,21 @@
 """Kernel selection: the C extension when it was built, pure Python otherwise.
 
-Both backends export the same seven functions with identical results:
-rational_census(n, s); the three (ell, m) kernels, which all take
+Both backends export the same eight functions with identical results:
+rational_census(n, s); the four (ell, m) kernels, which all take
 (ell, m, dstar) and walk the (ell, m)-paths with degr <= dstar:
 ellm_census_levels counts them, and in the same walk the shorter paths at
 every level below (at m = 1 it takes the all_counts from the
 Garsia-Haglund recursion for the q,t-Catalan polynomials instead of a walk),
-ellm_paths_bounded lists them and ellm_maximal_bounded lists the maximal
-ones; the two comparisons of a census's sides, slice_witness(all_counts,
-max_counts, M) on two count tables and census_levels_check(ell, m, dstar)
-on each level of the census of ellm_census_levels, which the C kernel
-compares in its own rows without building the dicts; and
-lowest_tuple(a, m), the end of the right orbit of a position tuple, which
-computation 1 and the projection check walk (the pure-Python backend runs
-qtcat.cycles.lowest_tuple).  The C module
+ellm_paths_bounded lists them, ellm_maximal_bounded lists the maximal
+ones, and maximal_orbit_check runs computation 1 on the maximal ones,
+area(lowest(x)) <= M - height(x) - degr(x), up to the first that fails; the
+two comparisons of a census's sides, slice_witness(all_counts, max_counts,
+M) on two count tables and census_levels_check(ell, m, dstar) on each level
+of the census of ellm_census_levels, which the C kernel compares in its own
+rows without building the dicts; and lowest_tuple(a, m), the end of the
+right orbit of a position tuple, which the projection check walks (the
+pure-Python backend runs qtcat.cycles.lowest_tuple; the C kernel runs the
+same orbit routine at each leaf of maximal_orbit_check).  The C module
 qtcat._speedups is built by setup.py whenever a C compiler and Python.h are
 present; otherwise qtcat._kernels_py runs.  This module checks every input
 before it dispatches, so both backends reject the same inputs with the same
@@ -170,6 +172,15 @@ def ellm_maximal_bounded(ell, m, dstar):
     degr <= dstar, in walk order."""
     check_ellm(ell, m, dstar)
     return _impl.ellm_maximal_bounded(ell, m, dstar)
+
+
+def maximal_orbit_check(ell, m, dstar):
+    """(checked, None) when every maximal (ell, m)-path x with degr <=
+    dstar has area(lowest(x)) <= max_area(ell, m) - height(x) - degr(x),
+    else (checked, (degr, positions, lowest_area)) for the first that fails
+    in walk order; checked counts the paths up to and including it."""
+    check_ellm(ell, m, dstar)
+    return _impl.maximal_orbit_check(ell, m, dstar)
 
 
 def lowest_tuple(a, m):

@@ -10,13 +10,7 @@ from __future__ import annotations
 import time
 
 from qtcat import cycles, kernels
-from qtcat.bijections import (
-    BoundedPartition,
-    bounded_partitions,
-    f,
-    g,
-    height_from_path,
-)
+from qtcat.bijections import BoundedPartition, bounded_partitions, f, g
 from qtcat.paths import Record, max_area, max_area_rational
 from qtcat.qtpoly import QtPolynomial, step_runs, sym_steps
 
@@ -155,20 +149,16 @@ def computation1(m, dstar):
     """Orbit-length bound for every maximal path at ell* = lstar(m, dstar).
 
     For each maximal x with degr <= dstar, checks
-    area(lowest(x)) <= M - height(x) - degr(x).
+    area(lowest(x)) <= M - height(x) - degr(x), in one call of
+    kernels.maximal_orbit_check, which stops at the first x that fails.
     """
     t0 = time.perf_counter()
     ell = lstar(m, dstar)
-    M = max_area(ell, m)
-    checked = 0
+    checked, bad = kernels.maximal_orbit_check(ell, m, dstar)
     witness = None
-    for d, a in kernels.ellm_maximal_bounded(ell, m, dstar):
-        checked += 1
-        h = height_from_path(a)
-        low = kernels.lowest_tuple(a, m)
-        if sum(low) > M - h - d:
-            witness = {"positions": list(a), "degr": d, "lowest_area": sum(low)}
-            break
+    if bad is not None:
+        d, a, low = bad
+        witness = {"positions": list(a), "degr": d, "lowest_area": low}
     return VerificationReport(
         params={"m": m, "dstar": dstar, "lstar": ell},
         verdict=witness is None,

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qtcat import _kernels_py, cycles, kernels, paths, verify
+from qtcat import _kernels_py, bijections, cycles, kernels, paths, verify
 from qtcat.bijections import bounded_partitions
 
 GOLDEN = Path(__file__).parent / "data" / "census_digests.json"
@@ -487,6 +487,60 @@ def test_lowest_tuple_orbit_past_the_area_range_raises(impl):
         impl.lowest_tuple((-3, 1, -2), 1)
 
 
+@lru_cache(maxsize=None)
+def lowest_area(a, m):
+    """The area of cycles.lowest_tuple(a, m), walked once per tuple."""
+    return sum(cycles.lowest_tuple(a, m))
+
+
+def orbit_loop(impl, ell, m, dstar):
+    """maximal_orbit_check(ell, m, dstar) as a loop over impl's listing of
+    the maximal paths: area(lowest(x)) <= M - height(x) - degr(x) on each
+    x, with the tuple orbit and bijections.height_from_path."""
+    M = paths.max_area(ell, m)
+    checked = 0
+    for d, a in impl.ellm_maximal_bounded(ell, m, dstar):
+        checked += 1
+        low = lowest_area(a, m)
+        if low > M - bijections.height_from_path(a) - d:
+            return checked, (d, a, low)
+    return checked, None
+
+
+@BACKENDS
+def test_maximal_orbit_check_matches_the_loop(impl):
+    # every dstar up to M + 1: from (ell - 1)m on, past the paper's range,
+    # some path fails the bound, so the witness is checked as well as the
+    # pass; the first two fail at the first path in walk order
+    assert impl.maximal_orbit_check(3, 1, 2) == (1, (2, (0, 0, 1, 2), 3))
+    assert impl.maximal_orbit_check(4, 2, 6) == (1, (6, (0, 0, 2, 4, 6), 12))
+    verdicts = set()
+    for ell in range(1, 6):
+        for m in range(1, 4):
+            for dstar in range(paths.max_area(ell, m) + 2):
+                want = orbit_loop(impl, ell, m, dstar)
+                assert impl.maximal_orbit_check(ell, m, dstar) == want, (ell, m, dstar)
+                verdicts.add(want[1] is None)
+    assert verdicts == {True, False}
+
+
+@BACKENDS
+def test_maximal_orbit_check_matches_the_loop_at_lstar(impl):
+    # computation 1's own instances, m <= 7 and dstar <= 20 on C; the
+    # pure-Python kernel is this loop over its own listing, so it stops at
+    # dstar 15, past which each dstar costs it seconds
+    top = 20 if impl is not _kernels_py else 15
+    checked = 0
+    for m in range(1, 8):
+        for dstar in range(top + 1):
+            ell = verify.lstar(m, dstar)
+            want = orbit_loop(impl, ell, m, dstar)
+            assert want[1] is None
+            assert impl.maximal_orbit_check(ell, m, dstar) == want, (m, dstar)
+            checked += want[0]
+    assert checked == (43151 if top == 20 else 9804)
+
+
 # every partition within the projection rule |lam| < (ell-2)m at these
 # (ell, m), as (lam, m)
 PROJECTIONS = [
@@ -560,6 +614,10 @@ BAD_INPUT = [
     ("slice_witness", ({}, {(1, 4): 1}, 3)),
     ("slice_witness", ({(5, 0): 1}, {}, 3)),
     *TOO_MANY_CELLS,
+    ("maximal_orbit_check", (3, 2, -1)),
+    ("maximal_orbit_check", (0, 1, 3)),
+    ("maximal_orbit_check", (10**20, 1, 3)),
+    ("maximal_orbit_check", (kernels.MAX_DEPTH, 1, 0)),
     ("lowest_tuple", ((0, 1, 2), 0)),
     ("lowest_tuple", ((0,) * (kernels.MAX_DEPTH + 1), 1)),
     ("lowest_tuple", ((0, 2**31), 1)),
@@ -581,6 +639,8 @@ def test_census_rejects_bad_input(impl, monkeypatch):
         impl.ellm_paths_bounded(3, 2, -1)
     with pytest.raises(ValueError):
         impl.census_levels_check(3, 2, -1)
+    with pytest.raises(ValueError):
+        impl.maximal_orbit_check(3, 2, -1)
     # and qtcat.kernels checks every input before it dispatches, so each
     # backend rejects the same inputs with the same InputError
     monkeypatch.setattr(kernels, "_impl", impl)
@@ -621,6 +681,7 @@ KERNELS = {
     "ellm_maximal_bounded": (3, 2, 4),
     "census_levels_check": (3, 1, 4),
     "slice_witness": ({(0, 0): 1}, {}, 2),
+    "maximal_orbit_check": (3, 2, 4),
     "lowest_tuple": ((0, 0, 2), 1),
 }
 

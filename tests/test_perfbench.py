@@ -8,7 +8,7 @@ import importlib.util
 from functools import reduce
 from pathlib import Path
 
-from qtcat import bijections, kernels, verify
+from qtcat import _kernels_py, bijections, cycles, kernels, verify
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -24,16 +24,42 @@ def test_tracer_entry_points_resolve():
 
 
 def test_computation1_calls_height_from_path_once_per_maximal_path(monkeypatch):
-    # bijections.height_from_path is traced at verify's binding of it
+    # on the pure-Python backend, bijections.height_from_path is traced at
+    # the orbit kernel's binding of it
     calls = []
 
     def counting(a):
         calls.append(a)
         return bijections.height_from_path(a)
 
-    monkeypatch.setattr(verify, "height_from_path", counting)
+    monkeypatch.setattr(kernels, "_impl", _kernels_py)
+    monkeypatch.setattr(_kernels_py, "height_from_path", counting)
     for m, dstar in [(1, 4), (2, 5), (3, 7), (5, 9)]:
         calls.clear()
-        verify.computation1(m, dstar)
+        assert verify.computation1(m, dstar).verdict
         maximal = kernels.ellm_maximal_bounded(verify.lstar(m, dstar), m, dstar)
         assert calls == [a for _, a in maximal], (m, dstar)
+
+
+def test_c_computation1_makes_no_call_per_maximal_path(speedups, monkeypatch):
+    # on C, maximal_orbit_check walks, bounds and orbits every maximal path
+    # itself, so the traced listing, orbit and height read 0 calls
+    monkeypatch.setattr(kernels, "_impl", speedups)
+    want = [verify.computation1(m, 9) for m in (1, 2, 3)]
+
+    def raising(*args):
+        raise AssertionError("called once per maximal path")
+
+    monkeypatch.setattr(kernels, "ellm_maximal_bounded", raising)
+    monkeypatch.setattr(kernels, "lowest_tuple", raising)
+    for module in (cycles, _kernels_py):
+        monkeypatch.setattr(module, "lowest_tuple", raising)
+    for module in (bijections, _kernels_py):
+        monkeypatch.setattr(module, "height_from_path", raising)
+    assert not hasattr(verify, "height_from_path")
+    got = [verify.computation1(m, 9) for m in (1, 2, 3)]
+    assert all(r.verdict and r.witness is None for r in got)
+    assert [r.counts["maximal_paths"] for r in got] == [
+        r.counts["maximal_paths"] for r in want
+    ]
+    assert all(r.counts["maximal_paths"] > 0 for r in got)

@@ -346,6 +346,53 @@ def test_computation1_counts_paths():
     assert r.counts["maximal_paths"] > 0
 
 
+def perturbed_heights(monkeypatch, m, dstar, picks):
+    """The pure-Python backend, with the maximal paths at positions picks of
+    the walk order at lstar(m, dstar) made too high to meet the bound;
+    returns the listing."""
+    ell = lstar(m, dstar)
+    maximal = _kernels_py.ellm_maximal_bounded(ell, m, dstar)
+    bad = {maximal[k][1] for k in picks}
+    height = _kernels_py.height_from_path
+
+    def perturbed(a):
+        return height(a) + (paths.max_area(ell, m) + 1 if a in bad else 0)
+
+    monkeypatch.setattr(kernels, "_impl", _kernels_py)
+    monkeypatch.setattr(_kernels_py, "height_from_path", perturbed)
+    return maximal
+
+
+def test_computation1_witness_is_the_first_failing_path(monkeypatch):
+    # the third and fifth maximal paths fail; the report names the third
+    # and counts the paths up to it
+    maximal = perturbed_heights(monkeypatch, 2, 5, [2, 4])
+    d, a = maximal[2]
+    r = computation1(2, 5)
+    assert not r.verdict
+    assert r.witness == {
+        "positions": list(a), "degr": d, "lowest_area": sum(cycles.lowest_tuple(a, 2))
+    }
+    assert list(r.witness) == ["positions", "degr", "lowest_area"]
+    assert r.counts["maximal_paths"] == 3
+    b = basecase([1, 2], 5)
+    assert not b.verdict
+    assert b.witness == {"params": r.params, "witness": r.witness}
+
+
+def test_c_computation1_formats_the_kernels_witness(speedups, monkeypatch):
+    # computation1 only formats what the kernel returns: a C result equal
+    # to the perturbed pure-Python one makes the same report
+    perturbed_heights(monkeypatch, 2, 5, [2, 4])
+    want = computation1(2, 5)
+    result = kernels.maximal_orbit_check(lstar(2, 5), 2, 5)
+    monkeypatch.setattr(kernels, "_impl", speedups)
+    monkeypatch.setattr(speedups, "maximal_orbit_check", lambda ell, m, dstar: result)
+    got = computation1(2, 5)
+    assert (got.params, got.verdict, got.witness) == (want.params, want.verdict, want.witness)
+    assert got.counts["maximal_paths"] == want.counts["maximal_paths"] == 3
+
+
 def test_basecase_aggregate():
     r = basecase(range(1, 4), 4)
     assert r.verdict
