@@ -789,12 +789,10 @@ done:
  * Slice d of a side is a row of areas j = 0..W-1, W = M - d + 2 (the
  * areas of sym's range).  The left side holds the count of the paths at
  * (d, j).  A maximal key (d, a) with count c adds c sym(a, b), b =
- * M - d - a, the signed run sym_run(a, b), which steps by its signed c at
- * lo and back at hi + 1: when a <= b the run is +[a, b], +c at a and -c at
- * b + 1; otherwise it is -[b + 1, a - 1], -c at b + 1 and +c at a.  Either
- * way the steps are +c at a and -c at b + 1 = W - 1 - a, so the right side
- * at j is the running sum of X[i] - X[W - 1 - i] over i <= j, X the row of
- * maximal counts, and the compare reads both halves of the row once. */
+ * M - d - a, which steps by +c at a and -c at b + 1 = W - 1 - a in either
+ * of its branches (qtcat.qtpoly.sym_steps), so the right side at j is the
+ * running sum of X[i] - X[W - 1 - i] over i <= j, X the row of maximal
+ * counts, and the compare reads both halves of the row once. */
 
 /* lhs - rhs over the areas j < W of one degree row of a store, whose
    counts of all paths and of maximal paths at the areas j < len are c[2 j]

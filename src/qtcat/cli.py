@@ -151,10 +151,11 @@ def _report_json(report):
     thousands of terms of lhs and rhs, so those are laid out from a template;
     every other field still goes through json.dumps, one level deeper by two
     more spaces after each newline (json escapes the newlines in strings)."""
-    sides = {"lhs": _side_json(report.lhs), "rhs": _side_json(report.rhs)}
-    obj = verify.VerificationReport(
-        report.params, report.verdict, None, None, report.witness, report.counts
-    ).to_obj()
+    lhs, rhs = report.sides()
+    sides = {"lhs": _side_json(lhs), "rhs": _side_json(rhs)}
+    # a copy without detail, so to_obj assembles no side a second time
+    obj = verify.VerificationReport(report.params, report.verdict, report.witness,
+                                    report.counts).to_obj()
     fields = ",\n".join(
         "  %s: %s" % (
             json.dumps(k),

@@ -138,7 +138,9 @@ def ellm_census_levels(ell, m, dstar):
 
 
 def ellm_census_bounded(ell, m, dstar):
-    """(all_counts, max_counts) over the (ell, m)-paths with degr <= dstar."""
+    """(all_counts, max_counts) over the (ell, m)-paths with degr <= dstar.
+    qtcat calls it nowhere, but perfbench/tracer.py wraps it by name (pinned
+    by tests/test_perfbench.py), and the tests check the walk through it."""
     return ellm_census_levels(ell, m, dstar)[-1]
 
 
@@ -169,7 +171,8 @@ def ellm_paths_bounded(ell, m, dstar):
 
 def ellm_maximal_bounded(ell, m, dstar):
     """List of (degr, positions) over the maximal (ell, m)-paths with
-    degr <= dstar, in walk order."""
+    degr <= dstar, in walk order; kept, like ellm_census_bounded, for
+    perfbench/tracer.py and the tests, which list the maximal paths here."""
     check_ellm(ell, m, dstar)
     return _impl.ellm_maximal_bounded(ell, m, dstar)
 

@@ -122,14 +122,13 @@ def sym_run(a, b):
 def sym_steps(counts, M, steps, sign):
     """Add to steps, keyed (d, j), sign times the first differences in j of
     the sum of c * sym(a, M-d-a) over the keys (d, a) of counts, and return
-    steps.  sym_run gives each term as a signed run lo..hi, which steps by
-    its signed c at lo and back at hi + 1."""
+    steps: in either branch of sym_run, [a, b] or -[b+1, a-1], a term steps
+    by c at a and back at M - d - a + 1."""
     for (d, a), c in counts.items():
-        lo, hi, run_sign = sym_run(a, M - d - a)
-        c *= sign * run_sign
-        key = d, lo
+        c *= sign
+        key = d, a
         steps[key] = steps.get(key, 0) + c
-        key = d, hi + 1
+        key = d, M - d - a + 1
         steps[key] = steps.get(key, 0) - c
     return steps
 

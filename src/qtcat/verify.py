@@ -16,33 +16,31 @@ from qtcat.qtpoly import QtPolynomial, step_runs, sym_steps
 
 
 class VerificationReport(Record):
-    # detail holds what the check built, for the command line to print;
-    # to_obj leaves it out.  verify_string_partition puts there its strings,
-    # as (partition, orbit) pairs with the orbit a tuple of position tuples,
-    # and the disconnected position tuples in walk order
-    __slots__ = ("params", "verdict", "lhs", "rhs", "witness", "counts", "detail")
+    # detail holds what the check built, for the command line to print.
+    # check_conjecture puts there its census, "census": (all_counts,
+    # max_counts, M), and to_obj prints only the two sides that sides()
+    # assembles from it; verify_string_partition puts there its strings, as
+    # (partition, orbit) pairs with the orbit a tuple of position tuples, and
+    # the disconnected position tuples in walk order
+    __slots__ = ("params", "verdict", "witness", "counts", "detail")
 
-    def __init__(
-        self,
-        params: dict,
-        verdict: bool,
-        lhs: QtPolynomial | None = None,
-        rhs: QtPolynomial | None = None,
-        witness: object = None,
-        counts: dict | None = None,
-        detail: dict | None = None,
-    ):
-        super().__init__(
-            params, verdict, lhs, rhs, witness,
-            {} if counts is None else counts, {} if detail is None else detail,
-        )
+    def __init__(self, params: dict, verdict: bool, witness: object = None,
+                 counts: dict | None = None, detail: dict | None = None):
+        super().__init__(params, verdict, witness, {} if counts is None else counts,
+                         {} if detail is None else detail)
+
+    def sides(self):
+        """(lhs, rhs) assembled from detail["census"], or (None, None)."""
+        census = self.detail.get("census")
+        return (None, None) if census is None else _slices_from_census(*census)
 
     def to_obj(self):
+        lhs, rhs = self.sides()
         return {
             "params": self.params,
             "verdict": "pass" if self.verdict else "fail",
-            "lhs": self.lhs.to_obj() if self.lhs is not None else None,
-            "rhs": self.rhs.to_obj() if self.rhs is not None else None,
+            "lhs": lhs.to_obj() if lhs is not None else None,
+            "rhs": rhs.to_obj() if rhs is not None else None,
             "witness": self.witness,
             "counts": self.counts,
         }
@@ -51,8 +49,8 @@ class VerificationReport(Record):
 # ---------------------------------------------------------------------------
 # conjecture: both sides, slice by slice
 #
-# A term of degree d has total degree M - d on either side, so slice d of a
-# side is its slice_total_degree(M - d).
+# A key (d, a) feeds only total degree M - d, so slice d needs only the keys
+# of degree d.
 
 
 def _lhs_from_census(all_counts, M):
@@ -97,7 +95,7 @@ def catalan_slice(n, s, d):
     if d < 0:
         raise kernels.InputError("d must be >= 0")
     all_counts, _, M = _rational_census(n, s)
-    return _lhs_from_census(all_counts, M).slice_total_degree(M - d)
+    return _lhs_from_census({k: c for k, c in all_counts.items() if k[0] == d}, M)
 
 
 def conjecture_rhs_slice(n, s, d):
@@ -105,7 +103,7 @@ def conjecture_rhs_slice(n, s, d):
     if d < 0:
         raise kernels.InputError("d must be >= 0")
     _, max_counts, M = _rational_census(n, s)
-    return _rhs_from_census(max_counts, M).slice_total_degree(M - d)
+    return _rhs_from_census({k: c for k, c in max_counts.items() if k[0] == d}, M)
 
 
 def catalan_poly(n, s):
@@ -115,22 +113,22 @@ def catalan_poly(n, s):
 
 
 def check_conjecture(n, s):
-    """Compare both sides of the conjecture slice by slice over one sweep."""
+    """Compare both sides of the conjecture slice by slice over one sweep.
+    runtime covers the census and the compare; the report keeps the census
+    in detail["census"], and sides() assembles the two sides from it."""
     t0 = time.perf_counter()
-    all_counts, max_counts, M = _rational_census(n, s)
-    lhs, rhs = _slices_from_census(all_counts, max_counts, M)
+    all_counts, max_counts, M = census = _rational_census(n, s)
     witness = _witness(kernels.slice_witness(all_counts, max_counts, M), M)
     return VerificationReport(
         params={"n": n, "s": s},
         verdict=witness is None,
-        lhs=lhs,
-        rhs=rhs,
         witness=witness,
         counts={
             "paths": sum(all_counts.values()),
             "maximal": sum(max_counts.values()),
             "runtime": round(time.perf_counter() - t0, 3),
         },
+        detail={"census": census},
     )
 
 

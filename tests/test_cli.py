@@ -11,7 +11,6 @@ import pytest
 from qtcat import cycles, kernels, verify
 from qtcat.bijections import BoundedPartition
 from qtcat.cli import _report_json, main
-from qtcat.qtpoly import QtPolynomial
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -160,17 +159,18 @@ def test_verify_json(capsys):
     assert obj["counts"]["paths"] == 7
 
 
-def _failing_report(lhs):
-    # no slope is known to fail, so made-up sides stand in for a failing check;
-    # every term has total degree M = 2, so the sides differ at d = 0 only
-    rhs = QtPolynomial({(0, 2): 1, (1, 1): 1})
+def _failing_report(all_counts):
+    # no slope is known to fail, so a made-up census stands in for a failing
+    # check: its keys have degree 0 at M = 2, so the sides differ at d = 0
+    # only, and the right side is sym(0, 2) = t^2 + q t + q^2
+    census = all_counts, {(0, 0): 1}, 2
+    lhs, rhs = verify._slices_from_census(*census)
     return verify.VerificationReport(
         params={"n": 3, "s": 2},
         verdict=False,
-        lhs=lhs,
-        rhs=rhs,
         witness={"d": 0, "difference": (lhs - rhs).to_obj()},
         counts={"paths": 3, "runtime": 0.25},
+        detail={"census": census},
     )
 
 
@@ -179,10 +179,8 @@ REPORTS = {
     "verify-5-3": lambda: verify.check_conjecture(5, 3),
     "verify-1-1": lambda: verify.check_conjecture(1, 1),
     # a negative coefficient and two past int64
-    "failing": lambda: _failing_report(
-        QtPolynomial({(0, 2): -3, (1, 1): 2**63, (2, 0): 10**30})
-    ),
-    "empty-lhs": lambda: _failing_report(QtPolynomial()),
+    "failing": lambda: _failing_report({(0, 0): -3, (0, 1): 2**63, (0, 2): 10**30}),
+    "empty-lhs": lambda: _failing_report({}),
     "basecase": lambda: verify.basecase(range(1, 4), 5),
     "strings": lambda: verify.verify_string_partition(5, 3, 7),
     # lhs and rhs are None
@@ -197,6 +195,32 @@ def test_json_report_renderer_equals_json_dumps(request, monkeypatch, name):
         monkeypatch.setattr(kernels, "_impl", request.getfixturevalue("speedups"))
     report = REPORTS[name]()
     assert _report_json(report) == json.dumps(report.to_obj(), indent=2) + "\n"
+    if name == "failing":
+        lhs, _ = report.sides()
+        assert lhs.terms() == [((0, 2), -3), ((1, 1), 2**63), ((2, 0), 10**30)]
+
+
+@pytest.mark.parametrize("impl", ["python", "c"], indirect=True)
+def test_sides_are_assembled_only_for_json(capsys, monkeypatch, impl):
+    # check_conjecture, plain and csv verify assemble no side; json verify
+    # assembles both once, when it prints them
+    monkeypatch.setattr(kernels, "_impl", impl)
+    calls = []
+    assemble = verify._slices_from_census
+
+    def counting(*census):
+        calls.append(census[2])
+        return assemble(*census)
+
+    monkeypatch.setattr(verify, "_slices_from_census", counting)
+    report = verify.check_conjecture(13, 8)
+    assert report.detail["census"][2] == 42 and calls == []
+    for fmt in ("plain", "csv"):
+        assert run_cli(capsys, "--format", fmt, "verify", "--slope", "13/8")[0] == 0
+    assert calls == []
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "--slope", "13/8")
+    assert code == 0 and calls == [42]
+    assert json.loads(out)["lhs"] == report.sides()[0].to_obj()
 
 
 # SHA-256 of the stdout of `--format json verify --slope 17/12` with runtime

@@ -117,7 +117,10 @@ def test_record_constructor_normalises():
 def test_verification_report_defaults():
     a = VerificationReport({}, True)
     b = VerificationReport({}, True)
-    assert (a.lhs, a.rhs, a.witness, a.counts, a.detail) == (None, None, None, {}, {})
+    assert type(a).__slots__ == ("params", "verdict", "witness", "counts", "detail")
+    assert (a.params, a.verdict, a.witness, a.counts, a.detail) == ({}, True, None, {}, {})
+    # a report with no census has no sides
+    assert a.sides() == (None, None)
     # each report gets dicts of its own
     assert a.counts is not b.counts and a.detail is not b.detail
 

@@ -109,7 +109,8 @@ def test_check_conjecture_witness_is_smallest_bad_degree(impl, monkeypatch):
     assert not r.verdict
     assert list(r.witness) == ["d", "difference"]
     assert r.witness["d"] == 7
-    diff = r.lhs - r.rhs
+    lhs, rhs = r.sides()
+    diff = lhs - rhs
     assert QtPolynomial.from_obj(r.witness["difference"]) == diff.slice_total_degree(M - 7)
     assert diff.slice_total_degree(M - 7) == -sym(5, M - 7 - 5)
     assert diff.slice_total_degree(M - 19) == QtPolynomial({(10, M - 19 - 10): 1})
